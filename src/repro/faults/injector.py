@@ -5,8 +5,8 @@ On construction it performs the golden run, recording per-thread traces
 (which define the fault-site space), per-CTA global-memory write/read logs
 and the golden output image.
 
-Injections execute over a ladder of progressively cheaper slices, each
-rung proven equivalent to the one below before its result is trusted:
+Injections execute over a ladder of four rungs, each proven equivalent
+to a full re-execution before its result is trusted:
 
 * **thread slice** — when the owning CTA provably exchanges no data
   between its threads (no shared-memory instructions, and the CTA's
@@ -17,12 +17,16 @@ rung proven equivalent to the one below before its result is trusted:
 * **CTA slice** — the paper's fast path: the owning CTA re-executes
   against the initial heap (CTAs within one launch cannot communicate,
   so this is exact) and its writes are overlaid onto the golden final
-  output image.  If a corrupted-but-in-bounds pointer wrote into another
-  CTA's output territory, ordering against the other CTA matters, so the
-  overlap is detected via the same ownership masks and the run falls
-  back to a full re-execution.
-* **full re-execution** — ``inject_full``, the reference slow path used
-  for cross-validation and as the final fallback.
+  output image.
+* **escape** — if either slice wrote into another CTA's territory (a
+  corrupted but in-bounds pointer), ordering against the other CTAs
+  matters.  The overlap is detected via the same ownership masks, and
+  the launch is replayed in CTA order: golden CTAs before the faulty one
+  are applied from their write logs, the faulty CTA runs, and a later
+  CTA re-runs only if its golden reads touch bytes the escape may have
+  changed.
+* **full re-execution** — ``inject_full``, the reference path the other
+  rungs are cross-validated against; ``inject`` never reaches it.
 
 Hot-path engineering (see ``docs/performance.md``): one scratch heap is
 reused across injections and repaired from the write log instead of
@@ -42,6 +46,7 @@ Outcome classification (paper Section II-B):
 from __future__ import annotations
 
 import bisect
+import itertools
 import time
 
 import numpy as np
@@ -90,6 +95,28 @@ def _program_uses_shared(program) -> bool:
         for insn in program.instructions
         for operand in insn.srcs
     )
+
+
+def _write_spans(log) -> list[tuple[int, int]]:
+    """A write log's ``(address, nbytes)`` spans."""
+    return [(address, len(raw)) for address, raw in log]
+
+
+def _span_offsets(lo: int, spans) -> np.ndarray:
+    """Window offsets (``address - lo``) of every byte in the spans.
+
+    Unsorted, with repeats where spans overlap; golden logs are millions
+    of spans on paper-scale grids, so they are expanded in numpy.
+    """
+    if not spans:
+        return np.zeros(0, dtype=np.int64)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(spans), dtype=np.int64, count=2 * len(spans)
+    )
+    starts = flat[0::2] - lo
+    widths = flat[1::2]
+    ends = np.cumsum(widths)
+    return np.repeat(starts - (ends - widths), widths) + np.arange(ends[-1])
 
 
 @dataclass
@@ -225,7 +252,7 @@ class FaultInjector:
             + 256
             for cta in range(instance.geometry.n_ctas)
         ]
-        self.fallback_count = 0  # full re-executions forced by write overlap
+        self.fallback_count = 0  # escape-rung runs forced by cross-CTA write overlap
 
         self._build_ownership_masks(result)
         self._build_output_image()
@@ -309,7 +336,7 @@ class FaultInjector:
         return cached
 
     def _cta_trace_total(self, cta: int) -> int:
-        """Total golden dynamic instructions of one CTA (splice scope)."""
+        """Total golden dynamic instructions of one CTA (splices, escapes)."""
         total = self._cta_trace_totals.get(cta)
         if total is None:
             tpc = self.instance.geometry.threads_per_cta
@@ -334,32 +361,27 @@ class FaultInjector:
         n_ctas = geometry.n_ctas
         self._cta_write_mask = np.zeros((n_ctas, size), dtype=bool)
         for cta, log in enumerate(self._cta_write_logs):
-            mask = self._cta_write_mask[cta]
-            for address, raw in log:
-                start = address - lo
-                mask[start : start + len(raw)] = True
+            self._cta_write_mask[cta][_span_offsets(lo, _write_spans(log))] = True
         self._cta_write_count = self._cta_write_mask.sum(axis=0, dtype=np.int16)
+
+        # Golden read sets drive both thread slicing and the escape rung's
+        # choice of which later CTAs to re-run; ``None`` (no read logs, as
+        # for shared-memory kernels) makes every later CTA a reader.
+        self._cta_read_mask = None
+        if result.cta_read_logs is not None:
+            self._cta_read_mask = np.zeros((n_ctas, size), dtype=bool)
+            for cta, log in enumerate(result.cta_read_logs):
+                self._cta_read_mask[cta][_span_offsets(lo, log)] = True
 
         if not self._slicing_enabled:
             self._cta_sliceable = [False] * n_ctas
             return
-        self._cta_read_mask = np.zeros((n_ctas, size), dtype=bool)
-        for cta, log in enumerate(result.cta_read_logs):
-            mask = self._cta_read_mask[cta]
-            for address, nbytes in log:
-                start = address - lo
-                mask[start : start + nbytes] = True
         # Threads-per-byte counts within each CTA, plus each thread's own
         # written-byte offsets (for subtracting its contribution).
         self._thread_write_count = np.zeros((n_ctas, size), dtype=np.int16)
         self._thread_write_offsets: list[np.ndarray] = []
-        scratch = np.zeros(size, dtype=bool)
         for thread, log in enumerate(result.thread_write_logs):
-            scratch[:] = False
-            for address, raw in log:
-                start = address - lo
-                scratch[start : start + len(raw)] = True
-            offsets = np.flatnonzero(scratch)
+            offsets = np.unique(_span_offsets(lo, _write_spans(log)))
             self._thread_write_offsets.append(offsets)
             self._thread_write_count[geometry.cta_of_thread(thread)][offsets] += 1
         # A CTA is thread-sliceable when its golden reads never touch its
@@ -561,7 +583,7 @@ class FaultInjector:
             escaped = self._writes_escape_cta(full_log, cta)
         if escaped:
             self.fallback_count += 1
-            return self._run_spec_full(thread, spec, label)
+            return self._run_spec_escape(thread, spec, label, cta)
         with telemetry.phase("classify"):
             return self._classify_patched(self._thread_patch(thread), full_log)
 
@@ -707,9 +729,106 @@ class FaultInjector:
             escaped = self._writes_escape_cta(full_log, cta)
         if escaped:
             self.fallback_count += 1
-            return self._run_spec_full(thread, spec, label)
+            return self._run_spec_escape(thread, spec, label, cta)
         with telemetry.phase("classify"):
             return self._classify_patched(self._cta_patch(cta), full_log)
+
+    def _run_spec_escape(
+        self, thread: int, spec: InjectionSpec, label: str, cta: int
+    ) -> Outcome:
+        """Replay a full sequential launch, executing only what it reaches.
+
+        Reached when a sliced run wrote bytes another CTA owns.  CTAs run
+        in grid order and communicate only through the heap, so every CTA
+        before ``cta`` behaves exactly as in the golden run: the heap it
+        leaves is the initial heap plus those CTAs' golden write logs.
+        The faulty CTA then runs on that heap.  A dirty mask over the
+        heap window holds every byte that may differ from the golden heap
+        at the same point of the launch: the faulty CTA's actual and
+        golden write spans, then those of each re-run CTA.  A later CTA
+        whose golden reads miss the mask reads golden values only, so it
+        behaves as in the golden run and its golden write log is applied
+        instead (those bytes become golden again).  Any other later CTA
+        re-runs uninjected.  Budgets and crash/hang mapping are those of
+        :meth:`_run_spec_full`, so the outcome equals a full re-run.
+        Golden CTAs applied from their logs count as skipped instructions,
+        as a checkpoint-skipped prefix does.
+        """
+        telemetry = self.telemetry
+        self._run_extra["golden_total"] = 0
+        skipped = sum(self._cta_trace_total(c) for c in range(cta))
+        lo = self._win_lo
+        write_masks = self._cta_write_mask
+        read_masks = self._cta_read_mask
+        # The replay runs on the scratch heap; every log it puts there is
+        # kept in ``touched`` and reverted afterwards.
+        memory = self._scratch_memory
+        touched = self._cta_write_logs[:cta]
+        with telemetry.phase("heap_repair"):
+            for log in touched:
+                memory.apply_writes(log)
+            dirty = np.zeros(self._win_size, dtype=bool)
+        max_steps = max(self._cta_budget)
+        replayed = 0
+        try:
+            for other in range(cta, self.instance.geometry.n_ctas):
+                if (
+                    other != cta
+                    and read_masks is not None
+                    and not (read_masks[other] & dirty).any()
+                ):
+                    golden_log = self._cta_write_logs[other]
+                    touched.append(golden_log)
+                    with telemetry.phase("heap_repair"):
+                        memory.apply_writes(golden_log)
+                        dirty &= ~write_masks[other]
+                    skipped += self._cta_trace_total(other)
+                    continue
+                log: list[tuple[int, bytes]] = []
+                touched.append(log)
+                memory.write_log = log
+                try:
+                    with telemetry.phase("suffix_exec"):
+                        launched = self._launcher.launch(
+                            self.instance.program,
+                            self.instance.geometry,
+                            self.instance.param_bytes,
+                            memory=memory,
+                            only_cta=other,
+                            injection=(thread, spec) if other == cta else None,
+                            max_steps=max_steps,
+                        )
+                finally:
+                    memory.write_log = None
+                if other == cta:
+                    result = launched
+                else:
+                    replayed += 1
+                with telemetry.phase("heap_repair"):
+                    dirty |= write_masks[other]
+                    for address, raw in log:
+                        start = address - lo
+                        dirty[max(start, 0) : max(start + len(raw), 0)] = True
+            if not result.injection_applied:
+                if spec.model is not FaultModel.STORE_ADDRESS:
+                    raise FaultInjectionError(f"injection at {label} never fired")
+                outcome = Outcome.MASKED
+            else:
+                with telemetry.phase("classify"):
+                    outcome = self._classify_output(memory)
+        except MemoryFault:
+            outcome = Outcome.CRASH
+        except HangDetected:
+            outcome = Outcome.HANG
+        finally:
+            self._run_extra["skipped"] = skipped
+            if telemetry.enabled:
+                telemetry.count("escape.replayed_ctas", replayed)
+            with telemetry.phase("heap_repair"):
+                initial = self.instance.initial_memory
+                for log in touched:
+                    memory.revert_writes(log, initial)
+        return outcome
 
     def _cta_checkpoint_plan(
         self,

@@ -16,7 +16,7 @@ import bisect
 import numpy as np
 
 from ..errors import FaultInjectionError
-from ..gpu.tracing import ThreadTrace
+from ..gpu.tracing import ThreadTrace, site_count
 from .site import FaultSite
 
 
@@ -27,7 +27,7 @@ class FaultSpace:
         self._traces = traces
         # Per-thread cumulative widths over trace entries, for O(log n)
         # random indexing; built lazily per thread to keep startup cheap.
-        self._thread_sites = [sum(w for _, w in trace) for trace in traces]
+        self._thread_sites = [site_count(trace) for trace in traces]
         self._thread_cum = np.cumsum([0] + self._thread_sites).tolist()
         self._entry_cums: dict[int, list[int]] = {}
 

@@ -34,11 +34,21 @@ class TraceSummary:
     fault_sites: int
 
 
+def site_count(trace: ThreadTrace) -> int:
+    """Fault sites of one thread (Eq. 1's inner sum): its summed widths.
+
+    A vectorized-backend :class:`~repro.gpu.vector.CompactTrace` sums its
+    width array in numpy; a paper-scale grid has tens of millions of
+    entries.
+    """
+    widths = getattr(trace, "widths", None)
+    if widths is not None:
+        return int(widths.sum())
+    return sum(width for _, width in trace)
+
+
 def summarize(trace: ThreadTrace) -> TraceSummary:
-    return TraceSummary(
-        icnt=len(trace),
-        fault_sites=sum(width for _, width in trace),
-    )
+    return TraceSummary(icnt=len(trace), fault_sites=site_count(trace))
 
 
 def static_key_sequence(program: Program, trace: ThreadTrace) -> list[tuple]:

@@ -100,8 +100,9 @@ class PrunedSpace:
             until_ci=until_ci,
         )
         profile = result.profile
-        if self.static_masked_weight:
-            profile.add(Outcome.MASKED, self.static_masked_weight)
+        # Statically masked sites are never injected: their weight joins
+        # the masked bucket without counting as an injection.
+        profile.weights[Outcome.MASKED.category] += self.static_masked_weight
         return profile
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import PruningError
 from ..gpu.simulator import LaunchGeometry
-from ..gpu.tracing import ThreadTrace
+from ..gpu.tracing import ThreadTrace, site_count
 from ..stats.distributions import group_by_distance
 
 
@@ -82,10 +82,6 @@ class ThreadwisePruning:
         return sum(g.site_weight for g in self.thread_groups)
 
 
-def _thread_sites(trace: ThreadTrace) -> int:
-    return sum(w for _, w in trace)
-
-
 def _group_ctas(
     cta_icnts: list[list[int]], method: str, mean_tolerance: float
 ) -> list[list[int]]:
@@ -131,7 +127,7 @@ def prune_threads(
     if len(traces) != geometry.n_threads:
         raise PruningError("trace count does not match launch geometry")
 
-    sites = [_thread_sites(t) for t in traces]
+    sites = [site_count(t) for t in traces]
     total_sites = sum(sites)
 
     # ---- level 1: CTA groups --------------------------------------------

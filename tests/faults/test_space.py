@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import FaultInjectionError
 from repro.faults import FaultSite, FaultSpace
+from repro.gpu import CompactTrace
 
 
 def make_space():
@@ -30,6 +31,16 @@ class TestCounting:
         space = make_space()
         assert space.thread_icnt(0) == 3
         assert space.thread_icnt(1) == 2
+
+    def test_compact_traces_count_like_lists(self):
+        traces = [
+            CompactTrace(np.array([0, 1, 2], np.int32), np.array([32, 0, 4], np.int16)),
+            CompactTrace(np.array([0, 3], np.int32), np.array([16, 32], np.int16)),
+        ]
+        space = FaultSpace(traces)
+        assert [space.thread_sites(t) for t in range(2)] == [36, 48]
+        assert type(space.thread_sites(0)) is int
+        assert space.total_sites == make_space().total_sites
 
 
 class TestIndexing:

@@ -41,6 +41,33 @@ def test_traces_cover_all_threads(key):
     assert all(len(t) > 0 for t in result.traces)
 
 
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_ctas_are_independent(key):
+    """No CTA reads another CTA's golden writes; no byte has two writers.
+
+    CTAs of one launch do not communicate.  The CTA slice (re-run one CTA
+    on the initial heap) and the escape rung (skip the golden CTAs before
+    the faulty one) are exact because of it.
+    """
+    inst = get_kernel(key).build()
+    result = GPUSimulator(backend="compiled").launch(
+        inst.program, inst.geometry, inst.param_bytes,
+        memory=inst.golden_memory(),
+        record_write_logs=True, record_read_logs=True,
+    )
+    lo, hi = inst.initial_memory.allocation_span()
+    writer = np.full(hi - lo, -1)
+    for cta, log in enumerate(result.cta_write_logs):
+        for address, raw in log:
+            span = writer[address - lo : address - lo + len(raw)]
+            assert ((span == -1) | (span == cta)).all(), (key, cta, address)
+            span[:] = cta
+    for cta, log in enumerate(result.cta_read_logs):
+        for address, nbytes in log:
+            span = writer[address - lo : address - lo + nbytes]
+            assert ((span == -1) | (span == cta)).all(), (key, cta, address)
+
+
 def test_registry_has_all_sixteen_paper_kernels_plus_nn():
     keys = set(ALL_KEYS)
     expected = {

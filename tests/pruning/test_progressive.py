@@ -107,6 +107,14 @@ class TestAccuracy:
         profile = space.estimate_profile(injector)
         assert profile.total_weight == pytest.approx(space.weight_total())
 
+    def test_static_masked_weight_is_not_an_injection(self):
+        injector = injector_for("gaussian.k125")
+        space = ProgressivePruner(n_bits=4).prune(injector)
+        assert space.static_masked_weight > 0
+        profile = space.estimate_profile(injector)
+        assert profile.n_injections == len(space.sites)
+        assert profile.total_weight == pytest.approx(space.weight_total())
+
 
 class TestReductionReport:
     def test_row_roundtrip(self):
