@@ -184,13 +184,6 @@ def _add_live_args(sub: argparse.ArgumentParser) -> None:
         help="if the campaign crashes, write a post-mortem dump "
         "(recent-event rings, crash site, final status, manifest) to PATH",
     )
-    live.add_argument(
-        "--no-live",
-        action="store_true",
-        help="disable the streaming plane even when other live flags are "
-        "set (--until-ci still reports convergence from the outcome "
-        "stream)",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -401,8 +394,8 @@ def _checkpoint_kwargs(args) -> dict:
 
 
 def _live_wanted(args) -> bool:
-    """Any live-monitoring flag set (and not ``--no-live``)?"""
-    if not hasattr(args, "live_port") or getattr(args, "no_live", False):
+    """Any live-monitoring flag set?"""
+    if not hasattr(args, "live_port"):
         return False
     return (
         args.live_port is not None

@@ -147,7 +147,7 @@ def run_campaign(
             telemetry=telemetry,
         )
     if until_ci is not None:
-        from ..observe.live import check_convergence
+        from ..observe.fold import check_convergence
     kept_sites: list[FaultSite] = []
     kept_outcomes: list[Outcome] = []
     profile = ResilienceProfile()

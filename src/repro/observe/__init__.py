@@ -6,6 +6,10 @@ package is the read side:
 
 * :mod:`~repro.observe.loader` — load one or more event logs (plus
   optional manifests) into a typed :class:`CampaignLog`;
+* :mod:`~repro.observe.fold` — the one fold over injection records
+  (outcome counts with Wilson CIs, instruction totals, per-worker load,
+  depth tertiles, rolling rate/ETA) shared by the live plane and the
+  report, which replays the event log through it;
 * :mod:`~repro.observe.report` — build a campaign report: outcome
   profile with Wilson CIs, per-phase latency attribution, depth-tertile
   splits, checkpoint and compiled-chain cache efficiency, per-worker

@@ -22,6 +22,7 @@ import json
 from pathlib import Path
 
 from ..errors import ReproError
+from .render import _ms, _pct
 
 
 def load_report_json(path: str | Path) -> dict:
@@ -123,16 +124,8 @@ def diff_reports(a: dict, b: dict) -> dict:
     }
 
 
-def _pct(fraction: float) -> str:
-    return f"{fraction * 100.0:.1f}%"
-
-
 def _signed_pct(fraction: float) -> str:
     return f"{fraction * 100.0:+.1f}%"
-
-
-def _ms(seconds: float) -> str:
-    return f"{seconds * 1e3:.2f}ms"
 
 
 def render_diff_text(diff: dict) -> str:

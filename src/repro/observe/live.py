@@ -9,11 +9,13 @@ not.  This module is the live side:
   and spliced instruction deltas, checkpoint/resync hit deltas — plus
   periodic heartbeats, so the parent sees progress *as it happens*
   instead of at chunk/exit merges;
-* a :class:`LiveAggregator` folds those records into rolling campaign
-  state: outcome shares with Wilson CIs, a sequential convergence signal
-  (max CI half-width vs an ``until_ci`` target), injections/sec and
-  effective-instruction throughput, per-worker liveness and stall
-  detection, and depth-tertile latency;
+* a :class:`LiveAggregator` folds those records into a
+  :class:`~repro.observe.fold.CampaignFold` — outcome shares with Wilson
+  CIs, injections/sec and effective-instruction throughput, per-worker
+  load and depth-tertile latency, the same fold ``repro report`` replays
+  from the event log — and adds a sequential convergence signal (max CI
+  half-width vs an ``until_ci`` target) and per-worker liveness and stall
+  detection;
 * :func:`render_live` turns one :meth:`LiveAggregator.snapshot` into the
   in-terminal dashboard both ``repro watch`` and the ``--live-port``
   HTML page display;
@@ -38,15 +40,20 @@ from pathlib import Path
 from queue import Empty
 
 from ..errors import ReproError
-from ..stats.intervals import wilson_ci
+from ..telemetry.progress import format_duration
+from .fold import (
+    OUTCOME_ORDER,  # noqa: F401  (re-exported)
+    RATE_WINDOW_S,
+    CampaignFold,
+    check_convergence,
+    max_half_width,
+    outcome_rows,
+)
 
 #: Version stamped on ``/status`` JSON snapshots and flight-recorder
 #: dumps so downstream consumers (the future ``repro.serve`` layer, CI
 #: pollers) can detect incompatible shapes.
 LIVE_STATUS_VERSION = 1
-
-#: Canonical outcome order for shares/convergence (matches reports).
-OUTCOME_ORDER = ("masked", "sdc", "crash", "hang")
 
 #: Per-process ring-buffer length for the flight recorder: enough recent
 #: injections to see what a dead worker was doing, small enough to ship
@@ -58,43 +65,6 @@ DEFAULT_STALL_AFTER_S = 10.0
 
 #: Minimum seconds between heartbeat records from one worker.
 HEARTBEAT_INTERVAL_S = 1.0
-
-#: Rolling-rate window (seconds of recent samples kept).
-RATE_WINDOW_S = 30.0
-
-#: Bounded sample of (dyn_index, duration) pairs for live depth tertiles.
-_RESERVOIR_CAP = 4096
-
-_TERTILE_LABELS = ("shallow", "middle", "deep")
-
-
-def max_half_width(
-    counts: dict[str, int], n: int, confidence: float = 0.95
-) -> float | None:
-    """Widest Wilson CI half-width across the four outcome proportions."""
-    if n <= 0:
-        return None
-    return max(
-        wilson_ci(counts.get(outcome, 0), n, confidence).half_width
-        for outcome in OUTCOME_ORDER
-    )
-
-
-def check_convergence(
-    counts: dict[str, int], n: int, until_ci: float, confidence: float = 0.95
-) -> bool:
-    """True once every outcome share is pinned to ``±until_ci``.
-
-    This is the sequential convergence signal: the campaign's profile has
-    stabilised when the *widest* Wilson interval half-width over the four
-    outcome proportions drops to the target.  Computed from plain counts
-    so the early-stop decision in :func:`~repro.faults.campaign.run_campaign`
-    depends only on the in-order outcome stream — deterministic for a
-    fixed seed regardless of worker count or backend.
-    """
-    width = max_half_width(counts, n, confidence)
-    return width is not None and width <= until_ci
-
 
 class LiveChannel:
     """Per-process producer side of the live stream.
@@ -151,15 +121,18 @@ class LiveChannel:
         except Exception:
             pass  # advisory plane: never let a dead queue kill a campaign
 
-    def online(self) -> None:
+    def _beat(self, state: str, now: float) -> None:
         self._push({
             "kind": "heartbeat",
             "worker": self.worker,
             "ts": time.time(),
-            "done": 0,
-            "state": "online",
+            "done": self.done,
+            "state": state,
         })
-        self._last_beat = time.monotonic()
+        self._last_beat = now
+
+    def online(self) -> None:
+        self._beat("online", time.monotonic())
 
     def note(self, site, outcome, duration_s: float) -> None:
         """One classified injection: ship its delta, maybe a heartbeat."""
@@ -187,14 +160,7 @@ class LiveChannel:
         self._push(record)
         now = time.monotonic()
         if now - self._last_beat >= self.heartbeat_s:
-            self._push({
-                "kind": "heartbeat",
-                "worker": self.worker,
-                "ts": time.time(),
-                "done": self.done,
-                "state": "beat",
-            })
-            self._last_beat = now
+            self._beat("beat", now)
 
     def crash(self, site, exc: BaseException) -> None:
         """Ship this process's ring + crash context before re-raising."""
@@ -211,6 +177,13 @@ class LiveChannel:
 
 class LiveAggregator:
     """Rolling campaign state built from streamed delta records.
+
+    Injection records fold into one :class:`CampaignFold` (``fold``);
+    around it this class adds worker liveness, the crash rings and the
+    pending/running/converged/done/crashed state machine.  The fold's
+    counters (``done``, ``outcome_counts``, ``effective_instructions``,
+    ``workers``, …) read through as attributes; each ``workers`` entry
+    also carries this class's ``last_seen`` (monotonic) and ``crashed``.
 
     Thread-safe: the parent's queue-drain thread, the serial injection
     loop and HTTP/status-file snapshotters all go through one lock.
@@ -242,29 +215,21 @@ class LiveAggregator:
         self._lock = threading.Lock()
         self._telemetry = None
         self.state = "pending"  # running | converged | done | crashed
-        self.done = 0
-        self.outcome_counts: dict[str, int] = {}
-        self.duration_total_s = 0.0
-        self.effective_instructions = 0
-        self.spliced_instructions = 0
-        self.checkpoint_hits = 0
-        self.resync_hits = 0
+        self.fold = CampaignFold(RATE_WINDOW_S)
         self.started_at: float | None = None
         self._started_mono: float | None = None
         self.converged = False
         self.stopped_early = False
-        #: (monotonic, done, effective) samples for rolling rates.
-        self._window: deque[tuple[float, int, int]] = deque()
-        #: worker name -> {"done", "last_seen" (monotonic), "busy_s",
-        #: "splices", "crashed"}
-        self.workers: dict[str, dict] = {}
         #: Parent-side ring of recent records (all workers interleaved).
         self.ring: deque = deque(maxlen=max(ring_size, 1))
         #: Crash records, ring buffers included, as shipped by workers.
         self.crashes: list[dict] = []
-        #: Bounded (dyn_index, duration_s) sample for live depth tertiles.
-        self._reservoir: list[tuple[int, float]] = []
-        self._seen = 0
+
+    def __getattr__(self, name: str):
+        # Campaign counters (done, outcome_counts, …) live on the fold.
+        if name.startswith("_") or name == "fold":
+            raise AttributeError(name)
+        return getattr(self.fold, name)
 
     # --------------------------------------------------------- lifecycle
 
@@ -284,10 +249,7 @@ class LiveAggregator:
                 self.label = label
             if telemetry is not None and getattr(telemetry, "enabled", False):
                 self._telemetry = telemetry
-            if self.started_at is None:
-                self.started_at = self._clock()
-                self._started_mono = self._monotonic()
-            self.state = "running"
+            self._start()
 
     def finish(self, converged: bool = False, stopped_early: bool = False) -> None:
         with self._lock:
@@ -308,6 +270,13 @@ class LiveAggregator:
             return None
         return self.flight_recorder.dump(self, error=exc)
 
+    def _start(self) -> None:
+        if self.started_at is None:
+            self.started_at = self._clock()
+            self._started_mono = self._monotonic()
+            self.fold.rates.start(self._started_mono)
+        self.state = "running"
+
     # ----------------------------------------------------------- records
 
     def record(self, record: dict) -> None:
@@ -321,57 +290,27 @@ class LiveAggregator:
             self._record_crash(record)
 
     def _worker_state(self, name: str) -> dict:
-        state = self.workers.get(name)
-        if state is None:
-            state = self.workers[name] = {
-                "done": 0,
-                "last_seen": self._monotonic(),
-                "busy_s": 0.0,
-                "splices": 0,
-                "crashed": False,
-            }
+        state = self.fold.worker(name)
+        if "last_seen" not in state:
+            state.update(last_seen=self._monotonic(), crashed=False)
         return state
 
     def _record_injection(self, record: dict) -> None:
         with self._lock:
             if self.started_at is None:
-                self.started_at = self._clock()
-                self._started_mono = self._monotonic()
-                self.state = "running"
+                self._start()
             now = self._monotonic()
-            self.done += 1
-            outcome = record.get("outcome", "")
-            self.outcome_counts[outcome] = self.outcome_counts.get(outcome, 0) + 1
-            duration = float(record.get("duration_s", 0.0))
-            self.duration_total_s += duration
-            self.effective_instructions += int(
-                record.get("effective_instructions", 0)
+            name = record.get("worker") or "serial"
+            self._worker_state(name)["last_seen"] = now
+            get = record.get
+            self.fold.add(
+                now, name, get("outcome", ""), int(get("dyn_index", 0)),
+                float(get("duration_s", 0.0)),
+                int(get("effective_instructions", 0)),
+                int(get("spliced_instructions", 0)),
+                int(get("checkpoint_hits", 0)), int(get("resync_hits", 0)),
             )
-            self.spliced_instructions += int(record.get("spliced_instructions", 0))
-            self.checkpoint_hits += int(record.get("checkpoint_hits", 0))
-            self.resync_hits += int(record.get("resync_hits", 0))
-            worker = self._worker_state(record.get("worker") or "serial")
-            worker["done"] += 1
-            worker["last_seen"] = now
-            worker["busy_s"] += duration
-            if record.get("spliced_instructions"):
-                worker["splices"] += 1
-            self._window.append((now, self.done, self.effective_instructions))
-            while (
-                len(self._window) > 2
-                and now - self._window[0][0] > RATE_WINDOW_S
-            ):
-                self._window.popleft()
             self.ring.append(record)
-            # Deterministic bounded reservoir for the tertile split: fill,
-            # then overwrite via a multiplicative-hash slot (no RNG so
-            # resumed/replayed streams behave identically).
-            sample = (int(record.get("dyn_index", 0)), duration)
-            self._seen += 1
-            if len(self._reservoir) < _RESERVOIR_CAP:
-                self._reservoir.append(sample)
-            else:
-                self._reservoir[(self._seen * 2654435761) % _RESERVOIR_CAP] = sample
 
     def _record_heartbeat(self, record: dict) -> None:
         with self._lock:
@@ -411,22 +350,12 @@ class LiveAggregator:
     @property
     def rolling_rate(self) -> float:
         """Injections/second over the recent window."""
-        if len(self._window) >= 2:
-            (t0, d0, _), (t1, d1, _) = self._window[0], self._window[-1]
-            if t1 > t0:
-                return (d1 - d0) / (t1 - t0)
-        elapsed = self.elapsed_s
-        return self.done / elapsed if elapsed > 0 else 0.0
+        return self.fold.rates.rate
 
     @property
     def rolling_effective_rate(self) -> float:
         """Effective instructions/second over the recent window."""
-        if len(self._window) >= 2:
-            (t0, _, w0), (t1, _, w1) = self._window[0], self._window[-1]
-            if t1 > t0:
-                return (w1 - w0) / (t1 - t0)
-        elapsed = self.elapsed_s
-        return self.effective_instructions / elapsed if elapsed > 0 else 0.0
+        return self.fold.rates.work_rate
 
     def is_converged(self) -> bool:
         if self.until_ci is None:
@@ -435,65 +364,17 @@ class LiveAggregator:
             self.outcome_counts, self.done, self.until_ci, self.confidence
         )
 
-    def _tertile_rows(self) -> list[dict]:
-        if not self._reservoir:
-            return []
-        depths = sorted(depth for depth, _ in self._reservoir)
-        n = len(depths)
-        cut1 = depths[(n - 1) // 3]
-        cut2 = depths[(2 * (n - 1)) // 3]
-        buckets: dict[str, list[float]] = {label: [] for label in _TERTILE_LABELS}
-        for depth, duration in self._reservoir:
-            if depth <= cut1:
-                buckets["shallow"].append(duration)
-            elif depth <= cut2:
-                buckets["middle"].append(duration)
-            else:
-                buckets["deep"].append(duration)
-        rows = []
-        for label in _TERTILE_LABELS:
-            durations = buckets[label]
-            if not durations:
-                continue
-            rows.append({
-                "tertile": label,
-                "n": len(durations),
-                "mean_s": sum(durations) / len(durations),
-                "max_s": max(durations),
-            })
-        return rows
-
     def snapshot(self) -> dict:
         """One JSON-ready view of the rolling state (the ``/status`` body)."""
         with self._lock:
             now_mono = self._monotonic()
-            n = self.done
-            outcome_rows = []
-            for outcome in OUTCOME_ORDER:
-                count = self.outcome_counts.get(outcome, 0)
-                ci = wilson_ci(count, n, self.confidence) if n else None
-                outcome_rows.append({
-                    "outcome": outcome,
-                    "count": count,
-                    "share": count / n if n else 0.0,
-                    "ci_low": ci.low if ci else None,
-                    "ci_high": ci.high if ci else None,
-                    "half_width": ci.half_width if ci else None,
-                })
-            width = max_half_width(self.outcome_counts, n, self.confidence)
+            fold = self.fold
+            n = fold.done
+            width = max_half_width(fold.outcome_counts, n, self.confidence)
             converged = self.converged or (
                 self.until_ci is not None
                 and width is not None
                 and width <= self.until_ci
-            )
-            rate = self.rolling_rate
-            remaining = (
-                max(self.total - n, 0) if self.total is not None else None
-            )
-            eta = (
-                remaining / rate
-                if remaining is not None and rate > 0
-                else None
             )
             worker_rows = []
             for name in sorted(self.workers):
@@ -522,8 +403,10 @@ class LiveAggregator:
                 "total": self.total,
                 "pct": (100.0 * n / self.total) if self.total else None,
                 "elapsed_s": self.elapsed_s,
-                "eta_s": eta,
-                "outcomes": outcome_rows,
+                "eta_s": fold.rates.eta_s(
+                    n, self.total, fold.effective_instructions
+                ),
+                "outcomes": outcome_rows(fold.outcome_counts, n, self.confidence),
                 "convergence": {
                     "target": self.until_ci,
                     "confidence": self.confidence,
@@ -532,15 +415,15 @@ class LiveAggregator:
                     "stopped_early": self.stopped_early,
                 },
                 "throughput": {
-                    "injections_per_s": rate,
-                    "effective_instructions_per_s": self.rolling_effective_rate,
-                    "effective_instructions": self.effective_instructions,
-                    "spliced_instructions": self.spliced_instructions,
-                    "checkpoint_hits": self.checkpoint_hits,
-                    "resync_hits": self.resync_hits,
+                    "injections_per_s": fold.rates.rate,
+                    "effective_instructions_per_s": fold.rates.work_rate,
+                    "effective_instructions": fold.effective_instructions,
+                    "spliced_instructions": fold.spliced_instructions,
+                    "checkpoint_hits": fold.checkpoint_hits,
+                    "resync_hits": fold.resync_hits,
                 },
                 "workers": worker_rows,
-                "tertiles": self._tertile_rows(),
+                "tertiles": fold.tertile_rows(),
                 "crashes": [
                     {
                         "worker": crash.get("worker"),
@@ -553,15 +436,6 @@ class LiveAggregator:
 
     def render(self, width: int = 78) -> str:
         return render_live(self.snapshot(), width=width)
-
-
-def _format_duration(seconds: float) -> str:
-    seconds = int(round(seconds))
-    if seconds < 60:
-        return f"{seconds}s"
-    if seconds < 3600:
-        return f"{seconds // 60}m{seconds % 60:02d}s"
-    return f"{seconds // 3600}h{(seconds % 3600) // 60:02d}m"
 
 
 def render_live(snapshot: dict, width: int = 78) -> str:
@@ -581,10 +455,10 @@ def render_live(snapshot: dict, width: int = 78) -> str:
     progress = f"  {done:,}"
     if total:
         progress += f"/{total:,} ({snapshot.get('pct') or 0.0:5.1f}%)"
-    progress += f"  elapsed {_format_duration(snapshot.get('elapsed_s') or 0.0)}"
+    progress += f"  elapsed {format_duration(snapshot.get('elapsed_s') or 0.0)}"
     eta = snapshot.get("eta_s")
     if eta is not None and state == "running":
-        progress += f"  eta {_format_duration(eta)}"
+        progress += f"  eta {format_duration(eta)}"
     lines.append(progress)
     throughput = snapshot.get("throughput") or {}
     rate = throughput.get("injections_per_s") or 0.0

@@ -270,6 +270,12 @@ def _propagation_text_lines(propagation: dict) -> list[str]:
     return lines
 
 
+def _md_table(title: str, header: tuple[str, ...], rows) -> list[str]:
+    """A markdown section: ``## title``, then a table of ``rows`` (cell tuples)."""
+    lines = ["", f"## {title}", "", f"| {' | '.join(header)} |", "|" + "---|" * len(header)]
+    return lines + [f"| {' | '.join(str(cell) for cell in row)} |" for row in rows]
+
+
 def render_markdown(report: dict) -> str:
     meta = report["meta"]
     kernel = meta["kernel"] or "(unknown kernel)"
@@ -280,47 +286,35 @@ def render_markdown(report: dict) -> str:
         f"fast-path rate {_pct(meta['fast_path_rate'])}."
     )
 
-    out += ["", "## Outcomes", "", "| outcome | count | share | CI |", "|---|---|---|---|"]
-    for row in report["outcomes"]:
-        ci = (
+    out += _md_table("Outcomes", ("outcome", "count", "share", "CI"), (
+        (
+            row["outcome"], row["count"], _pct(row["share"]),
             f"[{_pct(row['ci_low'])}, {_pct(row['ci_high'])}]"
-            if row["ci_low"] is not None
-            else "-"
+            if row["ci_low"] is not None else "-",
         )
-        out.append(
-            f"| {row['outcome']} | {row['count']} | {_pct(row['share'])} | {ci} |"
-        )
+        for row in report["outcomes"]
+    ))
 
     latency = report["latency"]
     if latency:
-        out += ["", "## Latency", ""]
-        out.append("| mean | p50 | p90 | p99 | max |")
-        out.append("|---|---|---|---|---|")
-        out.append(
-            f"| {_ms(latency['mean_s'])} | {_ms(latency['p50_s'])} |"
-            f" {_ms(latency['p90_s'])} | {_ms(latency['p99_s'])} |"
-            f" {_ms(latency['max_s'])} |"
+        keys = ("mean", "p50", "p90", "p99", "max")
+        out += _md_table(
+            "Latency", keys, [[_ms(latency[f"{key}_s"]) for key in keys]]
         )
 
     phases = report["phases"]
     if phases:
-        out += ["", "## Phases", "", "| phase | mean | share |", "|---|---|---|"]
-        for row in phases["rows"]:
-            out.append(
-                f"| {row['phase']} | {_ms(row['mean_s'])} | {_pct(row['share'])} |"
-            )
+        out += _md_table("Phases", ("phase", "mean", "share"), (
+            (row["phase"], _ms(row["mean_s"]), _pct(row["share"]))
+            for row in phases["rows"]
+        ))
 
     tertiles = report["tertiles"]
     if tertiles:
-        out += [
-            "", "## Depth tertiles", "",
-            "| tertile | n | mean | p99 |", "|---|---|---|---|",
-        ]
-        for row in tertiles["rows"]:
-            out.append(
-                f"| {row['tertile']} | {row['count']} | {_ms(row['mean_s'])} |"
-                f" {_ms(row['p99_s'])} |"
-            )
+        out += _md_table("Depth tertiles", ("tertile", "n", "mean", "p99"), (
+            (row["tertile"], row["count"], _ms(row["mean_s"]), _ms(row["p99_s"]))
+            for row in tertiles["rows"]
+        ))
 
     checkpoint = report["checkpoint"]
     if checkpoint:
@@ -354,107 +348,86 @@ def render_markdown(report: dict) -> str:
 
     workers = report["workers"]
     if workers:
-        title = f"## Workers (imbalance {workers['imbalance']:.2f}x"
+        title = f"Workers (imbalance {workers['imbalance']:.2f}x"
         if workers.get("queue_wait_skew", 1.0) > 1.0:
             title += f", queue-wait skew {workers['queue_wait_skew']:.2f}x"
-        out += [
-            "", title + ")", "",
-            "| worker | injections | busy | splice rate | queue wait |"
-            " ckpt store | resync memo |",
-            "|---|---|---|---|---|---|---|",
-        ]
+        header = (
+            "worker", "injections", "busy", "splice rate", "queue wait",
+            "ckpt store", "resync memo",
+        )
+        rows = []
         for row in workers["rows"]:
             wait = row.get("queue_wait_mean_s")
             ckpt = row.get("checkpoint_bytes")
             memo = row.get("resync_memo_entries")
-            out.append(
-                f"| {row['worker']} | {row['injections']} | {row['busy_s']:.3f}s"
-                f" | {_pct(row.get('splice_rate', 0.0))}"
-                f" | {_ms(wait) if wait is not None else '—'}"
-                f" | {f'{ckpt / 1e6:.1f}MB' if ckpt is not None else '—'}"
-                f" | {f'{memo:.0f}' if memo is not None else '—'} |"
-            )
+            rows.append((
+                row["worker"], row["injections"], f"{row['busy_s']:.3f}s",
+                _pct(row.get("splice_rate", 0.0)),
+                _ms(wait) if wait is not None else "—",
+                f"{ckpt / 1e6:.1f}MB" if ckpt is not None else "—",
+                f"{memo:.0f}" if memo is not None else "—",
+            ))
+        out += _md_table(title + ")", header, rows)
 
     stragglers = report["stragglers"]
     if stragglers:
-        out += [
-            "", f"## Stragglers (> {_ms(stragglers['threshold_s'])})", "",
-            "| site | outcome | duration |", "|---|---|---|",
-        ]
-        for row in stragglers["rows"]:
-            out.append(
-                f"| t{row['thread']}/i{row['dyn_index']}b{row['bit']} |"
-                f" {row['outcome']} | {_ms(row['duration_s'])} |"
+        title = f"Stragglers (> {_ms(stragglers['threshold_s'])})"
+        out += _md_table(title, ("site", "outcome", "duration"), (
+            (
+                f"t{row['thread']}/i{row['dyn_index']}b{row['bit']}",
+                row["outcome"], _ms(row["duration_s"]),
             )
+            for row in stragglers["rows"]
+        ))
 
     funnel = report["funnel"]
     if funnel:
-        out += [
-            "", "## Pruning funnel", "",
-            "| stage | before | after | factor |", "|---|---|---|---|",
-        ]
-        for row in funnel:
-            out.append(
-                f"| {row['stage']} | {row['sites_before']:,} |"
-                f" {row['sites_after']:,} | {row['factor']:.1f}x |"
+        out += _md_table("Pruning funnel", ("stage", "before", "after", "factor"), (
+            (
+                row["stage"], f"{row['sites_before']:,}",
+                f"{row['sites_after']:,}", f"{row['factor']:.1f}x",
             )
+            for row in funnel
+        ))
 
-    propagation = report.get("propagation")
-    if propagation:
-        pc_map = propagation.get("pc_map")
-        if pc_map:
-            out += [
-                "", "## PC vulnerability map", "",
-                "| pc | n | sdc | diverged | escaped | mean mask depth |",
-                "|---|---|---|---|---|---|",
-            ]
-            for row in pc_map["rows"]:
-                depth = row["mean_masking_depth"]
-                mask = f"{depth:.1f}" if depth is not None else "-"
-                out.append(
-                    f"| {row['pc']} | {row['n']} | {_pct(row['sdc_rate'])} |"
-                    f" {_pct(row['diverged_rate'])} |"
-                    f" {_pct(row['escaped_rate'])} | {mask} |"
-                )
-        masking = propagation.get("masking")
-        if masking:
-            out += [
-                "", "## Masking depth by fault model", "",
-                "| model | n | unmasked | depth buckets |", "|---|---|---|---|",
-            ]
-            for model, row in masking.items():
-                buckets = " ".join(
-                    f"{label}:{count}" for label, count in row["buckets"].items()
-                )
-                out.append(
-                    f"| {model} | {row['n']} | {row['unmasked']} | {buckets} |"
-                )
-        signatures = propagation.get("signatures")
-        if signatures and signatures["n_sdc"]:
-            out += [
-                "", "## SDC signatures", "",
-                "| count | share | signature |", "|---|---|---|",
-            ]
-            for row in signatures["rows"]:
-                out.append(
-                    f"| {row['count']} | {_pct(row['share'])} |"
-                    f" `{row['signature']}` |"
-                )
-        coherence = propagation.get("coherence")
-        if coherence:
-            out += [
-                "",
-                f"## Pruning-group coherence "
-                f"({_pct(coherence['overall'])} agreement)",
-                "",
-                "| group | members | sites | probes | agreement |",
-                "|---|---|---|---|---|",
-            ]
-            for row in coherence["rows"]:
-                out.append(
-                    f"| {row['group']} | {row['members']} | {row['sites']} |"
-                    f" {row['probes']} | {_pct(row['agreement'])} |"
-                )
+    propagation = report.get("propagation") or {}
+    pc_map = propagation.get("pc_map")
+    if pc_map:
+        header = ("pc", "n", "sdc", "diverged", "escaped", "mean mask depth")
+        out += _md_table("PC vulnerability map", header, (
+            (
+                row["pc"], row["n"], _pct(row["sdc_rate"]),
+                _pct(row["diverged_rate"]), _pct(row["escaped_rate"]),
+                "-" if row["mean_masking_depth"] is None
+                else f"{row['mean_masking_depth']:.1f}",
+            )
+            for row in pc_map["rows"]
+        ))
+    masking = propagation.get("masking")
+    if masking:
+        header = ("model", "n", "unmasked", "depth buckets")
+        out += _md_table("Masking depth by fault model", header, (
+            (
+                model, row["n"], row["unmasked"],
+                " ".join(f"{label}:{count}" for label, count in row["buckets"].items()),
+            )
+            for model, row in masking.items()
+        ))
+    signatures = propagation.get("signatures")
+    if signatures and signatures["n_sdc"]:
+        out += _md_table("SDC signatures", ("count", "share", "signature"), (
+            (row["count"], _pct(row["share"]), f"`{row['signature']}`")
+            for row in signatures["rows"]
+        ))
+    coherence = propagation.get("coherence")
+    if coherence:
+        title = f"Pruning-group coherence ({_pct(coherence['overall'])} agreement)"
+        header = ("group", "members", "sites", "probes", "agreement")
+        out += _md_table(title, header, (
+            (row["group"], row["members"], row["sites"], row["probes"],
+             _pct(row["agreement"]))
+            for row in coherence["rows"]
+        ))
     return "\n".join(out) + "\n"
 
 

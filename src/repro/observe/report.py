@@ -21,19 +21,21 @@ tests consume the same structure.  Sections:
 
 Sections whose inputs were not recorded (no checkpoints, serial run, no
 stages) are present but ``None`` so renderers can skip them cleanly.
+
+Outcome counts and intervals, instruction totals and per-worker load come
+from replaying the injection events through the same
+:class:`~repro.observe.fold.CampaignFold` the live plane folds in flight.
 """
 
 from __future__ import annotations
 
-from ..stats.intervals import wilson_ci
 from ..telemetry.events import PHASE_NAMES
+from .fold import TERTILE_LABELS, CampaignFold, outcome_rows, split_by_depth
 from .loader import CampaignLog
 from .propagation import build_propagation_section
 
 #: Straggler list length bound: enough to eyeball, short enough to print.
 MAX_STRAGGLERS = 10
-
-TERTILE_LABELS = ("shallow", "middle", "deep")
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -73,19 +75,9 @@ def _phase_section(injections) -> dict | None:
         return None
     duration_total = sum(e.duration_s for e in injections)
     attributed = sum(totals.values())
-    ordered = sorted(PHASE_NAMES, key=list(PHASE_NAMES).index)
+    known = [name for name in PHASE_NAMES if name in totals]
     rows = []
-    for name in ordered:
-        if name not in totals:
-            continue
-        seconds = totals[name]
-        rows.append({
-            "phase": name,
-            "total_s": seconds,
-            "mean_s": seconds / len(injections),
-            "share": seconds / duration_total if duration_total else 0.0,
-        })
-    for name in sorted(set(totals) - set(ordered)):  # future phases
+    for name in known + sorted(set(totals) - set(known)):  # future phases last
         seconds = totals[name]
         rows.append({
             "phase": name,
@@ -104,18 +96,7 @@ def _phase_section(injections) -> dict | None:
 def _tertile_section(injections) -> dict | None:
     if not injections:
         return None
-    depths = sorted(e.dyn_index for e in injections)
-    n = len(depths)
-    cut1 = depths[(n - 1) // 3]
-    cut2 = depths[(2 * (n - 1)) // 3]
-    buckets: dict[str, list] = {label: [] for label in TERTILE_LABELS}
-    for event in injections:
-        if event.dyn_index <= cut1:
-            buckets["shallow"].append(event)
-        elif event.dyn_index <= cut2:
-            buckets["middle"].append(event)
-        else:
-            buckets["deep"].append(event)
+    cuts, buckets = split_by_depth(injections, lambda e: e.dyn_index)
     rows = []
     for label in TERTILE_LABELS:
         events = buckets[label]
@@ -133,7 +114,7 @@ def _tertile_section(injections) -> dict | None:
                 for name, seconds in sorted(totals.items())
             } if attributed > 0 else {},
         })
-    return {"cuts": [cut1, cut2], "rows": rows}
+    return {"cuts": list(cuts), "rows": rows}
 
 
 def _checkpoint_section(log: CampaignLog, counters, gauges) -> dict | None:
@@ -163,10 +144,9 @@ def _checkpoint_section(log: CampaignLog, counters, gauges) -> dict | None:
     }
 
 
-def _resync_section(log: CampaignLog, counters, gauges) -> dict | None:
+def _resync_section(counters, gauges, spliced: int) -> dict | None:
     hits = counters.get("resync.hits", 0)
     misses = counters.get("resync.misses", 0)
-    spliced = sum(e.spliced_instructions for e in log.injections)
     if hits + misses == 0 and spliced == 0:
         return None
     attempts = hits + misses
@@ -211,30 +191,26 @@ def _scoped_gauge(gauges, name: str, worker: str) -> float | None:
     return gauges.get(f"{name}[{worker}]")
 
 
-def _worker_section(log: CampaignLog, counters, gauges, histograms) -> dict | None:
-    by_worker: dict[str, list] = {}
-    for event in log.injections:
-        by_worker.setdefault(event.worker or "serial", []).append(event)
+def _worker_section(fold: CampaignFold, counters, gauges, histograms) -> dict | None:
     busy: dict[str, float] = {}
     for name, value in counters.items():
         if name.startswith("parallel.worker.") and name.endswith(".busy_s"):
             busy[name[len("parallel.worker."):-len(".busy_s")]] = value
-    workers = sorted(set(by_worker) | set(busy))
+    workers = sorted(set(fold.workers) | set(busy))
     if workers in ([], ["serial"]) and not busy:
         return None
     rows = []
     wait_means: list[float] = []
+    idle = {"done": 0, "busy_s": 0, "splices": 0}
     for worker in workers:
-        events = by_worker.get(worker, [])
-        durations = [e.duration_s for e in events]
-        splices = sum(1 for e in events if e.spliced_instructions)
+        load = fold.workers.get(worker, idle)
         row = {
             "worker": worker,
-            "injections": len(events),
-            "injection_s": sum(durations),
-            "busy_s": busy.get(worker, sum(durations)),
-            "splices": splices,
-            "splice_rate": splices / len(events) if events else 0.0,
+            "injections": load["done"],
+            "injection_s": load["busy_s"],
+            "busy_s": busy.get(worker, load["busy_s"]),
+            "splices": load["splices"],
+            "splice_rate": load["splices"] / load["done"] if load["done"] else 0.0,
         }
         # Per-worker resource levels from the scoped ``name[worker]``
         # gauges and histograms the merge keeps for each contributor.
@@ -309,32 +285,16 @@ def build_report(
     gauges = metrics["gauges"]
     histograms = metrics.get("histograms", {})
 
-    n = len(injections)
-    outcomes: dict[str, int] = {}
-    for event in injections:
-        outcomes[event.outcome] = outcomes.get(event.outcome, 0) + 1
-    outcome_rows = []
-    for outcome in ("masked", "sdc", "crash", "hang"):
-        count = outcomes.pop(outcome, 0)
-        if count == 0 and n == 0:
-            continue
-        ci = wilson_ci(count, n, confidence) if n else None
-        outcome_rows.append({
-            "outcome": outcome,
-            "count": count,
-            "share": count / n if n else 0.0,
-            "ci_low": ci.low if ci else None,
-            "ci_high": ci.high if ci else None,
-        })
-    for outcome, count in sorted(outcomes.items()):  # future outcome kinds
-        ci = wilson_ci(count, n, confidence) if n else None
-        outcome_rows.append({
-            "outcome": outcome,
-            "count": count,
-            "share": count / n if n else 0.0,
-            "ci_low": ci.low if ci else None,
-            "ci_high": ci.high if ci else None,
-        })
+    fold = CampaignFold()
+    for e in injections:
+        fold.add(
+            e.ts, e.worker or "serial", e.outcome, e.dyn_index, e.duration_s,
+            e.effective_instructions, e.spliced_instructions,
+        )
+    n = fold.done
+    outcomes = outcome_rows(fold.outcome_counts, n, confidence) if n else []
+    for row in outcomes:
+        del row["half_width"]  # report rows predate the live plane's field
 
     timestamps = [e.ts for e in log.events]
     backends = sorted({e.backend for e in injections})
@@ -350,25 +310,21 @@ def build_report(
             "suffix_instructions": sum(e.suffix_instructions for e in injections),
             # Effective dynamic coverage: executed + checkpoint-skipped +
             # resync-spliced instructions the campaign accounted for.
-            "effective_instructions": sum(
-                e.effective_instructions for e in injections
-            ),
-            "spliced_instructions": sum(
-                e.spliced_instructions for e in injections
-            ),
+            "effective_instructions": fold.effective_instructions,
+            "spliced_instructions": fold.spliced_instructions,
             "wall_span_s": (max(timestamps) - min(timestamps)) if timestamps else 0.0,
             "confidence": confidence,
         },
-        "outcomes": outcome_rows,
+        "outcomes": outcomes,
         "latency": _latency_summary([e.duration_s for e in injections])
         if injections
         else None,
         "phases": _phase_section(injections),
         "tertiles": _tertile_section(injections),
         "checkpoint": _checkpoint_section(log, counters, gauges),
-        "resync": _resync_section(log, counters, gauges),
+        "resync": _resync_section(counters, gauges, fold.spliced_instructions),
         "compiled": _compiled_section(log, counters),
-        "workers": _worker_section(log, counters, gauges, histograms),
+        "workers": _worker_section(fold, counters, gauges, histograms),
         "stragglers": _straggler_section(log),
         "funnel": [
             {

@@ -22,6 +22,10 @@ systematically wrong on deep kernels.  Drivers that know the cumulative
 ETA then projects remaining work in instructions and divides by the
 rolling instruction rate, falling back to the count-based estimate when
 no work units were reported.
+
+The rolling window and ETA model live in :class:`RollingRate`, shared
+with the live campaign plane (``repro.observe.fold``), so ``--progress``
+and ``/status`` report the same rate and ETA for the same samples.
 """
 
 from __future__ import annotations
@@ -59,15 +63,16 @@ class ProgressReporter:
         #: Cumulative work units (effective instructions) reported via
         #: :meth:`note_work`; 0 means "count injections instead".
         self.work_done = 0
-        # (timestamp, done, work) samples for the rolling rates; span kept
-        # to roughly two heartbeat periods so rates track recent speed.
-        self._window: deque[tuple[float, int, int]] = deque()
+        # Rolling rates over roughly two heartbeat periods of samples, so
+        # they track recent speed.
+        self._rates = RollingRate((heartbeat_s or min_interval_s) * 2)
 
     # ------------------------------------------------------------ updates
 
     def start(self) -> None:
         if self.started_at is None:
             self.started_at = self._clock()
+            self._rates.start(self.started_at)
 
     def update(self, n: int = 1) -> None:
         """Advance by ``n`` completed units."""
@@ -99,10 +104,7 @@ class ProgressReporter:
         if self.callback is not None:
             self.callback(self)
         now = self._clock()
-        self._window.append((now, self.done, self.work_done))
-        span = (self.heartbeat_s or self.min_interval_s) * 2
-        while len(self._window) > 2 and now - self._window[0][0] > span:
-            self._window.popleft()
+        self._rates.add(now, self.done, self.work_done)
         if self.stream is None:
             return
         if self.heartbeat_s is not None:
@@ -163,79 +165,101 @@ class ProgressReporter:
 
     @property
     def rolling_rate(self) -> float:
-        """Units/second over the recent sample window (falls back to the
-        cumulative :attr:`rate` until two window samples exist)."""
-        if len(self._window) >= 2:
-            (t0, d0, _), (t1, d1, _) = self._window[0], self._window[-1]
-            if t1 > t0:
-                return (d1 - d0) / (t1 - t0)
-        return self.rate
+        """Units/second over the recent sample window."""
+        return self._rates.rate
 
     @property
     def rolling_work_rate(self) -> float:
         """Work units (effective instructions)/second over the window."""
-        if len(self._window) >= 2:
-            (t0, _, w0), (t1, _, w1) = self._window[0], self._window[-1]
-            if t1 > t0:
-                return (w1 - w0) / (t1 - t0)
-        elapsed = self.elapsed_s
-        return self.work_done / elapsed if elapsed > 0 else 0.0
+        return self._rates.work_rate
 
     @property
     def eta_s(self) -> float | None:
-        """Seconds remaining, or None when total/rate are unknown.
+        """Seconds remaining, or None when total/rate are unknown."""
+        return self._rates.eta_s(self.done, self.total, self.work_done)
 
-        Prefers the work-unit projection when :meth:`note_work` has been
-        fed: remaining work is estimated by scaling the observed
-        work-per-injection to the remaining injection count, then divided
-        by the rolling work rate — so a campaign whose later injections
-        are cheaper (resync splicing) or dearer (deep prefixes) projects
-        from cost actually remaining, not injection count.
-        """
-        if self.total is None:
-            return None
-        if 0 < self.done < self.total and self.work_done > 0:
-            work_rate = self.rolling_work_rate
-            if work_rate > 0:
-                projected_total = self.work_done * (self.total / self.done)
-                return max(0.0, (projected_total - self.work_done) / work_rate)
-        rate = self.rolling_rate or self.rate
-        if rate == 0:
-            return None
-        return max(0.0, (self.total - self.done) / rate)
+    def _render(self, tag: str, rate: str) -> str:
+        line = (f"{self.label}: " if self.label else "") + f"{tag}{self.done}"
+        if self.total:
+            line += f"/{self.total} ({100.0 * self.done / self.total:5.1f}%)"
+        eta = self.eta_s
+        return line + rate + (f" eta {format_duration(eta)}" if eta is not None else "")
 
     def render_line(self) -> str:
-        prefix = f"{self.label}: " if self.label else ""
-        if self.total:
-            pct = 100.0 * self.done / self.total
-            line = f"{prefix}{self.done}/{self.total} ({pct:5.1f}%)"
-        else:
-            line = f"{prefix}{self.done}"
-        if self.rate > 0:
-            line += f" {self.rate:8.1f}/s"
-        eta = self.eta_s
-        if eta is not None:
-            line += f" eta {_format_duration(eta)}"
-        return line
+        return self._render("", f" {self.rate:8.1f}/s" if self.rate > 0 else "")
 
     def render_heartbeat(self) -> str:
-        prefix = f"{self.label}: " if self.label else ""
-        if self.total:
-            pct = 100.0 * self.done / self.total
-            line = f"{prefix}heartbeat {self.done}/{self.total} ({pct:5.1f}%)"
-        else:
-            line = f"{prefix}heartbeat {self.done}"
-        line += f" {self.rolling_rate:.1f}/s"
+        rate = f" {self.rolling_rate:.1f}/s"
         work_rate = self.rolling_work_rate
         if self.work_done > 0 and work_rate > 0:
-            line += f" {work_rate / 1e6:.2f}Minsn/s"
-        eta = self.eta_s
-        if eta is not None:
-            line += f" eta {_format_duration(eta)}"
-        return line
+            rate += f" {work_rate / 1e6:.2f}Minsn/s"
+        return self._render("heartbeat ", rate)
 
 
-def _format_duration(seconds: float) -> str:
+class RollingRate:
+    """Rolling ``(done, work)`` rates and ETA over the last ``span_s`` seconds.
+
+    Clock-free: callers :meth:`add` cumulative ``(now, done, work)``
+    samples.  At least two samples are kept; until they span time, rates
+    fall back to the cumulative rate since :meth:`start` (or the first
+    sample).
+    """
+
+    def __init__(self, span_s: float) -> None:
+        self.span_s = span_s
+        self.started_at: float | None = None
+        self._window: deque[tuple[float, int, int]] = deque()
+
+    def start(self, now: float) -> None:
+        if self.started_at is None:
+            self.started_at = now
+
+    def add(self, now: float, done: int, work: int) -> None:
+        self.start(now)
+        self._window.append((now, done, work))
+        while len(self._window) > 2 and now - self._window[0][0] > self.span_s:
+            self._window.popleft()
+
+    def _per_s(self, column: int, rolling: bool = True) -> float:
+        if not self._window:
+            return 0.0
+        first, last = self._window[0], self._window[-1]
+        if rolling and last[0] > first[0]:
+            return (last[column] - first[column]) / (last[0] - first[0])
+        elapsed = last[0] - self.started_at
+        return last[column] / elapsed if elapsed > 0 else 0.0
+
+    @property
+    def rate(self) -> float:
+        """Units/second over the window."""
+        return self._per_s(1)
+
+    @property
+    def work_rate(self) -> float:
+        """Work units/second over the window."""
+        return self._per_s(2)
+
+    def eta_s(self, done: int, total: int | None, work: int) -> float | None:
+        """Seconds remaining, or None when total/rate are unknown.
+
+        With work reported, remaining work is the observed work per unit
+        scaled to the remaining units, divided by the rolling work rate —
+        so a campaign whose later injections are cheaper (resync
+        splicing) or dearer (deep prefixes) projects from cost actually
+        remaining, not injection count.
+        """
+        if total is None:
+            return None
+        work_rate = self.work_rate
+        if 0 < done < total and work > 0 and work_rate > 0:
+            projected_total = work * (total / done)
+            return max(0.0, (projected_total - work) / work_rate)
+        rate = self.rate or self._per_s(1, rolling=False)
+        return max(0.0, (total - done) / rate) if rate else None
+
+
+def format_duration(seconds: float) -> str:
+    """``59s``, ``1m00s``, ``1h00m``: a compact duration for status lines."""
     seconds = int(round(seconds))
     if seconds < 60:
         return f"{seconds}s"
