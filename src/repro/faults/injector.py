@@ -9,11 +9,13 @@ Injections execute over a ladder of four rungs, each proven equivalent
 to a full re-execution before its result is trusted:
 
 * **thread slice** — when the owning CTA provably exchanges no data
-  between its threads (no shared-memory instructions, and the CTA's
-  golden global reads never touch golden global writes), only the
-  injected thread re-executes.  Dynamic read/write logs of the faulty
-  run are checked against precomputed byte-ownership masks; any overlap
-  with what sibling threads read or wrote demotes the run one rung.
+  between its threads (no shared-memory instructions, every golden-
+  written byte has one writer thread, and a byte the CTA both reads and
+  writes is read only by its writer), only the injected thread
+  re-executes.  Dynamic read/write logs of the faulty run are checked
+  against precomputed byte ownership; a read of a sibling-written byte,
+  or a write to a byte a sibling reads or writes, demotes the run one
+  rung.
 * **CTA slice** — the paper's fast path: the owning CTA re-executes
   against the initial heap (CTAs within one launch cannot communicate,
   so this is exact) and its writes are overlaid onto the golden final
@@ -102,21 +104,33 @@ def _write_spans(log) -> list[tuple[int, int]]:
     return [(address, len(raw)) for address, raw in log]
 
 
-def _span_offsets(lo: int, spans) -> np.ndarray:
+def _span_offsets(lo: int, spans, labels: np.ndarray | None = None):
     """Window offsets (``address - lo``) of every byte in the spans.
 
     Unsorted, with repeats where spans overlap; golden logs are millions
-    of spans on paper-scale grids, so they are expanded in numpy.
+    of spans on paper-scale grids, so they are expanded in numpy.  With
+    per-span ``labels`` the same expansion also returns each byte's label
+    as a second array.
     """
     if not spans:
-        return np.zeros(0, dtype=np.int64)
+        offsets = np.zeros(0, dtype=np.int64)
+        return offsets if labels is None else (offsets, np.zeros(0, dtype=np.int32))
     flat = np.fromiter(
         itertools.chain.from_iterable(spans), dtype=np.int64, count=2 * len(spans)
     )
     starts = flat[0::2] - lo
     widths = flat[1::2]
     ends = np.cumsum(widths)
-    return np.repeat(starts - (ends - widths), widths) + np.arange(ends[-1])
+    offsets = np.repeat(starts - (ends - widths), widths) + np.arange(ends[-1])
+    return offsets if labels is None else (offsets, np.repeat(labels, widths))
+
+
+def _run_labels(runs, base: int) -> np.ndarray:
+    """Per-entry thread codes (``base + slot + 1``) from ``(slot, n)`` runs."""
+    if not runs:
+        return np.zeros(0, dtype=np.int32)
+    slots, counts = zip(*runs)
+    return np.repeat(np.asarray(slots, dtype=np.int32) + (base + 1), counts)
 
 
 @dataclass
@@ -136,6 +150,8 @@ class GoldenState:
     cta_write_logs: list
     cta_read_logs: list | None
     thread_write_logs: list | None
+    #: ``(slot, n_reads)`` runs attributing each CTA read-log entry.
+    cta_read_slots: list | None = None
 
 
 class FaultInjector:
@@ -179,7 +195,6 @@ class FaultInjector:
         self._resync_memo = ResyncMemo() if resync else None
         self._resync_pcs = control_pcs(instance.program) if resync else None
         self._golden_streams: GoldenStreamCache | None = None
-        self._golden_interferes: dict[int, bool] = {}
         self._cta_trace_totals: dict[int, int] = {}
         #: Per-run accounting scratch for effective-iCnt event fields
         #: (checkpoint-skipped + resync-spliced instructions).
@@ -196,7 +211,9 @@ class FaultInjector:
         if golden is not None:
             # Worker handoff: adopt shipped golden artifacts and rebuild
             # the final heap from the CTA write logs — no golden launch.
-            if self._slicing_enabled and golden.cta_read_logs is None:
+            if self._slicing_enabled and (
+                golden.cta_read_logs is None or golden.cta_read_slots is None
+            ):
                 self._slicing_enabled = False  # shipped state lacks read logs
             with self.telemetry.span("golden-restore"):
                 golden_memory = instance.golden_memory()
@@ -254,6 +271,7 @@ class FaultInjector:
         ]
         self.fallback_count = 0  # escape-rung runs forced by cross-CTA write overlap
 
+        self._cta_read_slots = result.cta_read_slots
         self._build_ownership_masks(result)
         self._build_output_image()
         # One scratch heap reused by every sliced faulty run; repaired
@@ -261,6 +279,7 @@ class FaultInjector:
         self._scratch_memory = instance.initial_memory.snapshot()
         self._cta_patches: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._thread_patches: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._thread_offsets: dict[int, np.ndarray] = {}
         self._rf_prefix_cache: dict[int, tuple[list[int], list[tuple[str, ...]]]] = {}
 
     # --------------------------------------------------- golden-state index
@@ -277,6 +296,7 @@ class FaultInjector:
             cta_write_logs=self._cta_write_logs,
             cta_read_logs=self._cta_read_logs,
             thread_write_logs=self._thread_write_logs,
+            cta_read_slots=self._cta_read_slots,
         )
 
     def golden_streams(self) -> GoldenStreamCache:
@@ -318,23 +338,6 @@ class FaultInjector:
             read_log=read_log,
         )
 
-    def _golden_thread_interferes(self, thread: int, cta: int) -> bool:
-        """Would the thread's own *golden* writes interfere with siblings?
-
-        A spliced run's write sequence is exactly a golden prefix, so the
-        only interference term its unexecuted suffix can contribute is a
-        golden write-write overlap — precomputable per thread.  (Golden
-        reads cannot interfere: a sliceable CTA's golden reads never
-        touch its golden writes, by the sliceability criterion.)
-        """
-        cached = self._golden_interferes.get(thread)
-        if cached is None:
-            own = self._thread_write_offsets[thread]
-            counts = self._thread_write_count[cta]
-            cached = bool(own.size and (counts[own] > 1).any())
-            self._golden_interferes[thread] = cached
-        return cached
-
     def _cta_trace_total(self, cta: int) -> int:
         """Total golden dynamic instructions of one CTA (splices, escapes)."""
         total = self._cta_trace_totals.get(cta)
@@ -364,33 +367,76 @@ class FaultInjector:
             self._cta_write_mask[cta][_span_offsets(lo, _write_spans(log))] = True
         self._cta_write_count = self._cta_write_mask.sum(axis=0, dtype=np.int16)
 
+        sliceable = [self._slicing_enabled] * n_ctas
+        if self._slicing_enabled:
+            self._build_thread_writers(result.thread_write_logs, sliceable)
+
         # Golden read sets drive both thread slicing and the escape rung's
         # choice of which later CTAs to re-run; ``None`` (no read logs, as
         # for shared-memory kernels) makes every later CTA a reader.
         self._cta_read_mask = None
         if result.cta_read_logs is not None:
             self._cta_read_mask = np.zeros((n_ctas, size), dtype=bool)
+            tpc = geometry.threads_per_cta
             for cta, log in enumerate(result.cta_read_logs):
-                self._cta_read_mask[cta][_span_offsets(lo, log)] = True
+                if not sliceable[cta]:
+                    self._cta_read_mask[cta][_span_offsets(lo, log)] = True
+                    continue
+                runs = result.cta_read_slots[cta]
+                if sum(n for _, n in runs) != len(log):
+                    raise FaultInjectionError(
+                        f"CTA {cta}: golden read attribution does not cover "
+                        "its read log"
+                    )
+                offsets, readers = _span_offsets(
+                    lo, log, _run_labels(runs, cta * tpc)
+                )
+                self._cta_read_mask[cta][offsets] = True
+                # A byte the CTA also writes may be read by its one
+                # writer only: then no thread observes another's output.
+                written = self._cta_write_mask[cta][offsets]
+                if (self._thread_writer[offsets[written]] != readers[written]).any():
+                    sliceable[cta] = False
+        self._cta_sliceable = sliceable
 
-        if not self._slicing_enabled:
-            self._cta_sliceable = [False] * n_ctas
-            return
-        # Threads-per-byte counts within each CTA, plus each thread's own
-        # written-byte offsets (for subtracting its contribution).
-        self._thread_write_count = np.zeros((n_ctas, size), dtype=np.int16)
-        self._thread_write_offsets: list[np.ndarray] = []
-        for thread, log in enumerate(result.thread_write_logs):
-            offsets = np.unique(_span_offsets(lo, _write_spans(log)))
-            self._thread_write_offsets.append(offsets)
-            self._thread_write_count[geometry.cta_of_thread(thread)][offsets] += 1
-        # A CTA is thread-sliceable when its golden reads never touch its
-        # golden writes: no thread observed any thread's output, so every
-        # thread's golden behaviour is schedule-independent.
-        self._cta_sliceable = [
-            not (self._cta_read_mask[c] & self._cta_write_mask[c]).any()
-            for c in range(n_ctas)
-        ]
+    def _build_thread_writers(self, thread_write_logs, sliceable: list) -> None:
+        """The window-sized writer table; clears ``sliceable`` on conflicts.
+
+        ``_thread_writer[b]`` is ``thread + 1`` for the one thread that
+        wrote byte ``b`` in the golden run, 0 if none did, and -1 if
+        threads of several CTAs did.  A CTA in which two threads wrote the
+        same byte is not sliceable: which write survives depends on the
+        schedule, and reverting one thread's writes would also revert the
+        sibling's.  Nor is a CTA that shares a written byte with another
+        CTA, so that in a sliceable CTA -1 marks no sibling's byte.
+        """
+        lo = self._win_lo
+        tpc = self.instance.geometry.threads_per_cta
+        writer = self._thread_writer = np.zeros(self._win_size, dtype=np.int32)
+        for cta in range(len(sliceable)):
+            logs = thread_write_logs[cta * tpc : (cta + 1) * tpc]
+            runs = [(slot, len(log)) for slot, log in enumerate(logs) if log]
+            spans = [(address, len(raw)) for log in logs for address, raw in log]
+            offsets, codes = _span_offsets(lo, spans, _run_labels(runs, cta * tpc))
+            writer[offsets] = codes
+            # Any byte left holding another code had a second writer.
+            if (writer[offsets] != codes).any():
+                sliceable[cta] = False
+        shared = self._cta_write_count > 1
+        if shared.any():
+            writer[shared] = -1
+            for cta in range(len(sliceable)):
+                if (self._cta_write_mask[cta] & shared).any():
+                    sliceable[cta] = False
+
+    def _thread_write_offsets(self, thread: int) -> np.ndarray:
+        """Sorted window offsets of one thread's golden writes (cached)."""
+        offsets = self._thread_offsets.get(thread)
+        if offsets is None:
+            log = self._thread_write_logs[thread]
+            offsets = np.unique(_span_offsets(self._win_lo, _write_spans(log)))
+            self._thread_offsets[thread] = offsets
+        return offsets
 
     def _build_output_image(self) -> None:
         """The golden output image plus the heap→image region table."""
@@ -494,8 +540,9 @@ class FaultInjector:
         scratch heap beforehand, and prepended to the faulty log
         afterwards so interference/escape/classification decisions are
         byte-identical to a full-prefix run (the prefix's *reads* need no
-        replay — a sliceable CTA's golden reads provably never touch its
-        golden writes, so they cannot flip any check).
+        replay — in a sliceable CTA a thread's golden reads touch only
+        bytes it owns or that no thread of the CTA writes, so they cannot
+        flip any check).
         """
         memory = self._scratch_memory
         telemetry = self.telemetry
@@ -554,10 +601,13 @@ class FaultInjector:
                 if splice.window_reads:
                     read_log.extend(splice.window_reads)
                 self._run_extra["golden_total"] = len(self.traces[thread])
+            # The spliced suffix is golden, and golden accesses stay on
+            # bytes the thread owns or no sibling touches, so only the
+            # executed part can interfere.
             with telemetry.phase("classify"):
                 interferes = self._thread_run_interferes(
                     thread, cta, full_log, read_log
-                ) or self._golden_thread_interferes(thread, cta)
+                )
             if interferes:
                 self._run_extra["golden_total"] = 0  # CTA rung re-decides
                 return None
@@ -1256,38 +1306,43 @@ class FaultInjector:
     ) -> bool:
         """Did a thread-sliced run touch bytes sibling threads own?
 
-        True when the faulty thread read anything its CTA wrote, wrote
-        anything its CTA read, or wrote a byte some *other* thread of the
-        CTA also wrote — any of which makes the single-thread replay
-        schedule-dependent, so the CTA slice must decide instead.
+        True when the faulty thread read a byte a sibling wrote, or wrote
+        a byte that is not its own and that its CTA reads or writes — any
+        of which makes the single-thread replay schedule-dependent, so
+        the CTA slice must decide instead.  A byte the thread writes in
+        the golden run is its own: no sibling writes it, and no sibling
+        reads it (the sliceability criterion).  Readers of bytes no thread
+        writes are not recorded, so a write to any of them counts.
         """
-        cta_writes = self._cta_write_mask[cta]
+        writer = self._thread_writer
         cta_reads = self._cta_read_mask[cta]
-        thread_counts = self._thread_write_count[cta]
-        own_offsets = self._thread_write_offsets[thread]
+        code = thread + 1
+        # Sibling codes are (first, last]; -1 (several CTAs) is no sibling.
+        tpc = self.instance.geometry.threads_per_cta
+        first = cta * tpc
+        last = first + tpc
         lo = self._win_lo
         size = self._win_size
         for address, nbytes in read_log:
             start = max(address - lo, 0)
             end = min(address - lo + nbytes, size)
-            if start < end and cta_writes[start:end].any():
+            if start >= end:
+                continue
+            span = writer[start:end]
+            if not span.any() or (span == code).all():
+                continue
+            if ((span > first) & (span <= last) & (span != code)).any():
                 return True
         for address, raw in faulty_log:
             start = max(address - lo, 0)
             end = min(address - lo + len(raw), size)
             if start >= end:
                 continue
-            if cta_reads[start:end].any():
-                return True
-            counts = thread_counts[start:end]
-            if not counts.any():
+            span = writer[start:end]
+            if (span == code).all():
                 continue
-            span_own = np.zeros(end - start, dtype=np.int16)
-            if own_offsets.size:
-                left = np.searchsorted(own_offsets, start)
-                right = np.searchsorted(own_offsets, end)
-                span_own[own_offsets[left:right] - start] = 1
-            if (counts > span_own).any():
+            sibling = (span > first) & (span <= last)
+            if ((span != code) & (cta_reads[start:end] | sibling)).any():
                 return True
         return False
 
@@ -1303,7 +1358,7 @@ class FaultInjector:
         """Image patch reverting one thread's golden writes to initial."""
         patch = self._thread_patches.get(thread)
         if patch is None:
-            offsets = self._thread_write_offsets[thread]
+            offsets = self._thread_write_offsets(thread)
             patch = self._thread_patches[thread] = self._revert_patch(offsets)
         return patch
 

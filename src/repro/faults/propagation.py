@@ -376,7 +376,7 @@ class PropagationTracer:
         offsets = np.flatnonzero(faulty != golden)
         escaped_thread = None
         if injector._slicing_enabled and offsets.size:
-            own = injector._thread_write_offsets[thread]
+            own = injector._thread_write_offsets(thread)
             escaped_thread = bool(np.setdiff1d(offsets, own).size)
         elif injector._slicing_enabled:
             escaped_thread = False

@@ -24,6 +24,7 @@ def run_cta(
     thread_write_logs: list[list[tuple[int, bytes]]] | None = None,
     barrier_hook=None,
     barrier_rounds_start: int = 0,
+    read_slots: list[tuple[int, int]] | None = None,
 ) -> int:
     """Drive every thread of one CTA to completion.
 
@@ -36,6 +37,11 @@ def run_cta(
     writes are additionally attributed to the thread that issued them by
     swapping the heap's write log around each run-to-barrier segment; the
     CTA-level log keeps its schedule order.
+
+    When ``read_slots`` is given, global reads are attributed the same
+    way without a second log: each segment that grows the heap's read log
+    appends ``(slot, n_reads)``, so the pairs run-length encode the
+    CTA-level read log's issuing slots in its own order.
 
     ``barrier_hook(barrier_rounds, threads)`` fires right after each
     barrier release — the only points where thread states are mutually
@@ -50,6 +56,7 @@ def run_cta(
         progressed = False
         for slot, thread in enumerate(threads):
             if thread.state is ThreadState.RUNNING:
+                reads_before = len(heap.read_log) if read_slots is not None else 0
                 if thread_write_logs is None or heap.write_log is None:
                     thread.run_until_block()
                 else:
@@ -62,6 +69,10 @@ def run_cta(
                         heap.write_log = cta_log
                         cta_log.extend(segment)
                         thread_write_logs[slot].extend(segment)
+                if read_slots is not None:
+                    n_reads = len(heap.read_log) - reads_before
+                    if n_reads:
+                        read_slots.append((slot, n_reads))
                 progressed = True
         waiting = [t for t in threads if t.state is ThreadState.AT_BARRIER]
         if waiting:

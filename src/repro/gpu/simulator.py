@@ -104,6 +104,9 @@ class LaunchResult:
     thread_write_logs: list[list[tuple[int, bytes]]] | None = None
     #: Per-CTA ``(address, size)`` load logs (``record_read_logs``).
     cta_read_logs: list[list[tuple[int, int]]] | None = None
+    #: Per-CTA ``(slot, n_reads)`` runs attributing each read-log entry,
+    #: in order, to the thread slot that issued it (``record_read_logs``).
+    cta_read_slots: list[list[tuple[int, int]]] | None = None
 
 
 class GPUSimulator:
@@ -227,7 +230,8 @@ class GPUSimulator:
             param_bytes: packed kernel-parameter block.
             memory: heap to run against (defaults to the simulator's own).
             record_read_logs: log every global load as ``(address, size)``
-                per CTA (golden runs; powers thread-sliced injection).
+                per CTA, each attributed to its issuing slot (golden runs;
+                powers thread-sliced injection).
             record_thread_write_logs: attribute global writes to the
                 issuing thread (requires ``record_write_logs``).
             only_cta: execute just this CTA (the injection fast path).
@@ -326,6 +330,9 @@ class GPUSimulator:
             [[] for _ in range(geometry.n_ctas)] if record_write_logs else None
         )
         read_logs: list[list[tuple[int, int]]] | None = (
+            [[] for _ in range(geometry.n_ctas)] if record_read_logs else None
+        )
+        read_slots: list[list[tuple[int, int]]] | None = (
             [[] for _ in range(geometry.n_ctas)] if record_read_logs else None
         )
         thread_write_logs: list[list[tuple[int, bytes]]] | None = (
@@ -486,6 +493,7 @@ class GPUSimulator:
                         segment_logs,
                         barrier_hook=barrier_hook,
                         barrier_rounds_start=rounds_start,
+                        read_slots=read_slots[cta] if read_slots is not None else None,
                     )
                 finally:
                     heap.write_log = caller_write_log if write_logs is None else None
@@ -497,6 +505,9 @@ class GPUSimulator:
                     # actually executed, not the skipped golden prefix.
                     instructions -= skipped
                     total_skipped += skipped
+                if read_slots is not None and only_slot is not None:
+                    # run_cta attributes by position in ``threads``.
+                    read_slots[cta] = [(only_slot, n) for _, n in read_slots[cta]]
                 for slot, thread in zip(slots, threads):
                     if record_traces:
                         trace_map[cta * tpc + slot] = thread.trace  # type: ignore[assignment]
@@ -559,4 +570,5 @@ class GPUSimulator:
             barrier_rounds=barrier_rounds,
             thread_write_logs=thread_write_logs,
             cta_read_logs=read_logs,
+            cta_read_slots=read_slots,
         )

@@ -1488,9 +1488,13 @@ class _VectorCTARunner:
 
     def prepare(
         self, heap, shared, param_mem, max_steps, tracing,
-        write_target, read_target, thread_targets,
+        write_target, read_target, thread_targets, read_slot_target=None,
     ):
-        """Rebind one launch's memories/logs and zero all lane state."""
+        """Rebind one launch's memories/logs and zero all lane state.
+
+        ``read_slot_target`` receives the ``(slot, n_reads)`` runs that
+        attribute ``read_target``'s entries to their issuing slots.
+        """
         self.heap = heap
         self.shared = shared
         self.param_mem = param_mem
@@ -1499,6 +1503,7 @@ class _VectorCTARunner:
         self.write_target = write_target
         self.read_target = read_target
         self.thread_targets = thread_targets
+        self.read_slot_target = read_slot_target
         self.record_reads = read_target is not None
         self.heap_view = heap.array_view()
         self.heap_bounds = heap.allocation_arrays()
@@ -1734,6 +1739,7 @@ class _VectorCTARunner:
                 b.append((address, size))
         wt = self.write_target
         rt = self.read_target
+        st = self.read_slot_target
         tt = self.thread_targets
         flushed = self.flushed
         stop = n if limit is None else limit + 1
@@ -1749,6 +1755,8 @@ class _VectorCTARunner:
                 rb = rbuckets[slot]
                 if rb and rt is not None:
                     rt.extend(rb)
+                    if st is not None:
+                        st.append((slot, len(rb)))
 
     def _abort(self):
         """Classic-exact abort: repair the heap, raise the lowest slot's exc.
@@ -2160,6 +2168,9 @@ def launch_vectorized(
     read_logs = (
         [[] for _ in range(geometry.n_ctas)] if record_read_logs else None
     )
+    read_slots = (
+        [[] for _ in range(geometry.n_ctas)] if record_read_logs else None
+    )
     thread_write_logs = (
         [[] for _ in range(geometry.n_threads)]
         if record_thread_write_logs and record_write_logs
@@ -2222,6 +2233,7 @@ def launch_vectorized(
             runner.prepare(
                 heap, shared, param_mem, max_steps, record_traces,
                 write_target, read_target, thread_targets,
+                read_slots[cta] if read_slots is not None else None,
             )
             sc_ctx = None
             if (
@@ -2371,4 +2383,5 @@ def launch_vectorized(
         barrier_rounds=barrier_rounds,
         thread_write_logs=thread_write_logs,
         cta_read_logs=read_logs,
+        cta_read_slots=read_slots,
     )
