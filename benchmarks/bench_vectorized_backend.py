@@ -16,9 +16,11 @@ This bench drives the real injection stack and asserts:
 * the paper's actual Table I grid for GEMM — 16384 threads, beyond what
   the scalar backends can golden-run in reasonable time — completes
   end-to-end: golden run, site enumeration, and a sampled campaign, with
-  the measured site count recorded next to the paper's 6.23e8.
+  the measured site count recorded next to the paper's 6.23e8, and the
+  golden run's time and peak RSS recorded.
 """
 
+import resource
 import time
 
 from benchmarks.common import FULL, append_history, emit
@@ -43,8 +45,22 @@ def _campaign_rate(injector, n_sites, rng_seed=SEED):
     return n_sites / (time.perf_counter() - t0), result
 
 
+def _paper_golden():
+    """(injector, seconds, peak RSS MB) of the paper-grid golden run.
+
+    Run first in the process, so the peak RSS is the golden run's (plus
+    the interpreter and imports), not an earlier section's.
+    """
+    t0 = time.perf_counter()
+    paper = FaultInjector(load_instance(PAPER_KEY, scale="paper"), backend="vectorized")
+    golden_s = time.perf_counter() - t0
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    return paper, golden_s, rss_mb
+
+
 def run_comparison() -> str:
     lines = []
+    paper, golden_s, golden_rss_mb = _paper_golden()
 
     # Registry-kernel equivalence: same outcomes as the interpreter.
     interp = random_campaign(
@@ -82,16 +98,14 @@ def run_comparison() -> str:
 
     # Paper-grid GEMM: the 16384-thread Table I grid, end to end.
     spec = get_kernel(PAPER_KEY)
-    t0 = time.perf_counter()
-    paper = FaultInjector(load_instance(PAPER_KEY, scale="paper"), backend="vectorized")
-    golden_s = time.perf_counter() - t0
     threads = paper.instance.geometry.n_threads
     sites = paper.space.total_sites
     assert threads == spec.paper_threads == 16384
     paper_rate, paper_result = _campaign_rate(paper, PAPER_SITES)
     lines.append(
         f"{PAPER_KEY} paper grid: {threads} threads, {sites:.3e} fault sites "
-        f"(paper: {spec.paper_fault_sites:.2e}), golden {golden_s:.1f}s, "
+        f"(paper: {spec.paper_fault_sites:.2e}), golden {golden_s:.1f}s "
+        f"({golden_rss_mb:.0f} MB peak RSS), "
         f"campaign {paper_rate:.2f} inj/s, profile {paper_result.profile}"
     )
     append_history(
@@ -101,6 +115,10 @@ def run_comparison() -> str:
     append_history(
         "vectorized", "paper_gemm_golden_s", golden_s,
         kernel=PAPER_KEY, unit="s", direction="lower",
+    )
+    append_history(
+        "vectorized", "paper_gemm_golden_rss_mb", golden_rss_mb,
+        kernel=PAPER_KEY, unit="MB", direction="lower",
     )
     append_history(
         "vectorized", "paper_gemm_inj_per_s", paper_rate,

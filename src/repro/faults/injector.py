@@ -48,7 +48,6 @@ Outcome classification (paper Section II-B):
 from __future__ import annotations
 
 import bisect
-import itertools
 import time
 
 import numpy as np
@@ -99,29 +98,34 @@ def _program_uses_shared(program) -> bool:
     )
 
 
-def _write_spans(log) -> list[tuple[int, int]]:
-    """A write log's ``(address, nbytes)`` spans."""
-    return [(address, len(raw)) for address, raw in log]
+def _write_columns(log) -> tuple[np.ndarray, np.ndarray]:
+    """A write log's span columns: ``(addresses, nbytes)`` int64 arrays."""
+    starts = np.fromiter((address for address, _ in log), np.int64, len(log))
+    widths = np.fromiter((len(raw) for _, raw in log), np.int64, len(log))
+    return starts, widths
 
 
-def _span_offsets(lo: int, spans, labels: np.ndarray | None = None):
+def _span_offsets(
+    lo: int,
+    starts: np.ndarray,
+    widths: np.ndarray,
+    labels: np.ndarray | None = None,
+):
     """Window offsets (``address - lo``) of every byte in the spans.
 
-    Unsorted, with repeats where spans overlap; golden logs are millions
-    of spans on paper-scale grids, so they are expanded in numpy.  With
-    per-span ``labels`` the same expansion also returns each byte's label
-    as a second array.
+    The spans come as columns: start addresses and byte widths, e.g. a
+    :class:`~repro.gpu.SpanLog`'s ``addrs``/``sizes`` or
+    :func:`_write_columns` of a write log.  Unsorted, with repeats where
+    spans overlap; golden read logs are millions of spans on paper-scale
+    grids, so they are expanded in numpy.  With per-span ``labels`` the
+    same expansion also returns each byte's label as a second array.
     """
-    if not spans:
+    if not len(widths):
         offsets = np.zeros(0, dtype=np.int64)
         return offsets if labels is None else (offsets, np.zeros(0, dtype=np.int32))
-    flat = np.fromiter(
-        itertools.chain.from_iterable(spans), dtype=np.int64, count=2 * len(spans)
-    )
-    starts = flat[0::2] - lo
-    widths = flat[1::2]
+    widths = widths.astype(np.int64, copy=False)
     ends = np.cumsum(widths)
-    offsets = np.repeat(starts - (ends - widths), widths) + np.arange(ends[-1])
+    offsets = np.repeat(starts - lo - (ends - widths), widths) + np.arange(ends[-1])
     return offsets if labels is None else (offsets, np.repeat(labels, widths))
 
 
@@ -141,13 +145,17 @@ class GoldenState:
     launch entirely: the final heap is rebuilt by replaying the CTA write
     logs (exact, because CTAs execute sequentially and cannot
     communicate), and traces/logs are adopted as-is.  Everything here is
-    plain picklable data, so a campaign coordinator captures golden state
-    once and ships it to every pool worker instead of each worker paying
-    a full traced-and-logged run.
+    picklable, so a campaign coordinator captures golden state once and
+    ships it to every pool worker instead of each worker paying a full
+    traced-and-logged run.  The bulk travels as numpy columns: read logs
+    are :class:`~repro.gpu.SpanLog` objects and vectorized-backend traces
+    :class:`~repro.gpu.CompactTrace` objects, so a worker unpickles a
+    paper-grid state as a few arrays per CTA, not millions of tuples.
     """
 
     traces: list
     cta_write_logs: list
+    #: Per-CTA golden read logs (:class:`~repro.gpu.SpanLog` columns).
     cta_read_logs: list | None
     thread_write_logs: list | None
     #: ``(slot, n_reads)`` runs attributing each CTA read-log entry.
@@ -364,7 +372,7 @@ class FaultInjector:
         n_ctas = geometry.n_ctas
         self._cta_write_mask = np.zeros((n_ctas, size), dtype=bool)
         for cta, log in enumerate(self._cta_write_logs):
-            self._cta_write_mask[cta][_span_offsets(lo, _write_spans(log))] = True
+            self._cta_write_mask[cta][_span_offsets(lo, *_write_columns(log))] = True
         self._cta_write_count = self._cta_write_mask.sum(axis=0, dtype=np.int16)
 
         sliceable = [self._slicing_enabled] * n_ctas
@@ -380,7 +388,9 @@ class FaultInjector:
             tpc = geometry.threads_per_cta
             for cta, log in enumerate(result.cta_read_logs):
                 if not sliceable[cta]:
-                    self._cta_read_mask[cta][_span_offsets(lo, log)] = True
+                    self._cta_read_mask[cta][
+                        _span_offsets(lo, log.addrs, log.sizes)
+                    ] = True
                     continue
                 runs = result.cta_read_slots[cta]
                 if sum(n for _, n in runs) != len(log):
@@ -389,7 +399,7 @@ class FaultInjector:
                         "its read log"
                     )
                 offsets, readers = _span_offsets(
-                    lo, log, _run_labels(runs, cta * tpc)
+                    lo, log.addrs, log.sizes, _run_labels(runs, cta * tpc)
                 )
                 self._cta_read_mask[cta][offsets] = True
                 # A byte the CTA also writes may be read by its one
@@ -416,8 +426,10 @@ class FaultInjector:
         for cta in range(len(sliceable)):
             logs = thread_write_logs[cta * tpc : (cta + 1) * tpc]
             runs = [(slot, len(log)) for slot, log in enumerate(logs) if log]
-            spans = [(address, len(raw)) for log in logs for address, raw in log]
-            offsets, codes = _span_offsets(lo, spans, _run_labels(runs, cta * tpc))
+            starts, widths = _write_columns([entry for log in logs for entry in log])
+            offsets, codes = _span_offsets(
+                lo, starts, widths, _run_labels(runs, cta * tpc)
+            )
             writer[offsets] = codes
             # Any byte left holding another code had a second writer.
             if (writer[offsets] != codes).any():
@@ -434,7 +446,7 @@ class FaultInjector:
         offsets = self._thread_offsets.get(thread)
         if offsets is None:
             log = self._thread_write_logs[thread]
-            offsets = np.unique(_span_offsets(self._win_lo, _write_spans(log)))
+            offsets = np.unique(_span_offsets(self._win_lo, *_write_columns(log)))
             self._thread_offsets[thread] = offsets
         return offsets
 

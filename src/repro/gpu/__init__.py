@@ -18,7 +18,7 @@ from .checkpoint import (
 from .compiler import BoundChain, CompiledProgram, compile_program
 from .instruction import Guard, Instruction
 from .isa import DataType, Imm, MemRef, Param, Reg, Special
-from .memory import GLOBAL_BASE, GlobalMemory, ParamMemory, SharedMemory
+from .memory import GLOBAL_BASE, GlobalMemory, ParamMemory, SharedMemory, SpanLog
 from .packing import pack_params
 from .program import Program
 from .registers import RegisterFile, flip_bit
@@ -62,6 +62,7 @@ __all__ = [
     "Reg",
     "RegisterFile",
     "SharedMemory",
+    "SpanLog",
     "Special",
     "ThreadCheckpoint",
     "ThreadTrace",

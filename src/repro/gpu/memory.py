@@ -16,7 +16,10 @@ depending on the instruction data type; floats are bit-cast via
 
 from __future__ import annotations
 
+import itertools
 import struct
+
+import numpy as np
 
 from ..errors import MemoryFault
 from .isa import DataType
@@ -47,6 +50,81 @@ def decode_value(raw: bytes, dtype: DataType) -> int | float:
         if value & sign_bit:
             value -= 1 << dtype.width
     return value
+
+
+class SpanLog:
+    """A global-load log stored as parallel numpy columns.
+
+    List-compatible with the ``[(address, size), ...]`` logs a heap's
+    ``read_log`` collects (``len``, iteration, indexing, equality with
+    lists, pickling), in the manner of
+    :class:`~repro.gpu.vector.CompactTrace`.  Golden launches return
+    their per-CTA read logs in this form on every backend: a paper-scale
+    golden run logs millions of loads, which as tuples cost ~80 bytes
+    each and as columns 9.
+    """
+
+    __slots__ = ("addrs", "sizes")
+
+    def __init__(self, addrs: np.ndarray, sizes: np.ndarray) -> None:
+        self.addrs = addrs  # int64
+        self.sizes = sizes  # uint8
+
+    @classmethod
+    def from_spans(cls, spans) -> "SpanLog":
+        """Columns of an ``[(address, size), ...]`` list."""
+        flat = np.fromiter(
+            itertools.chain.from_iterable(spans), dtype=np.int64, count=2 * len(spans)
+        )
+        return cls(flat[0::2].copy(), flat[1::2].astype(np.uint8))
+
+    @classmethod
+    def concat(cls, parts) -> "SpanLog":
+        """One log from consecutive ``(addrs, sizes)`` column pairs."""
+        if len(parts) == 1:
+            return cls(*parts[0])
+        if not parts:
+            return cls(np.zeros(0, np.int64), np.zeros(0, np.uint8))
+        return cls(
+            np.concatenate([addrs for addrs, _ in parts]),
+            np.concatenate([sizes for _, sizes in parts]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.addrs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(zip(self.addrs[index].tolist(), self.sizes[index].tolist()))
+        return (int(self.addrs[index]), int(self.sizes[index]))
+
+    def __iter__(self):
+        return iter(zip(self.addrs.tolist(), self.sizes.tolist()))
+
+    def __eq__(self, other):
+        if isinstance(other, SpanLog):
+            return np.array_equal(self.addrs, other.addrs) and np.array_equal(
+                self.sizes, other.sizes
+            )
+        if isinstance(other, (list, tuple)):
+            return len(other) == len(self.addrs) and all(
+                a == oa and s == os for (a, s), (oa, os) in zip(self, other)
+            )
+        return NotImplemented
+
+    def __ne__(self, other):
+        result = self.__eq__(other)
+        if result is NotImplemented:
+            return result
+        return not result
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self):
+        return (SpanLog, (self.addrs, self.sizes))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"SpanLog({len(self.addrs)} entries)"
 
 
 class GlobalMemory:

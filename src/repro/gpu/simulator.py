@@ -26,7 +26,7 @@ from ..errors import FaultInjectionError, HangDetected, MemoryFault, SimulatorEr
 from ..telemetry import NULL_TELEMETRY, SimRunEvent, Telemetry
 from .checkpoint import CheckpointPlan, CTACheckpoint, ThreadCheckpoint
 from .cta import run_cta
-from .memory import GlobalMemory, ParamMemory, SharedMemory
+from .memory import GlobalMemory, ParamMemory, SharedMemory, SpanLog
 from .program import Program
 from .thread import ThreadContext
 from .tracing import ThreadTrace
@@ -102,8 +102,9 @@ class LaunchResult:
     barrier_rounds: int = 0
     #: Per-thread global-write attribution (``record_thread_write_logs``).
     thread_write_logs: list[list[tuple[int, bytes]]] | None = None
-    #: Per-CTA ``(address, size)`` load logs (``record_read_logs``).
-    cta_read_logs: list[list[tuple[int, int]]] | None = None
+    #: Per-CTA global-load logs in issue order, as ``(address, size)``
+    #: columns (``record_read_logs``).
+    cta_read_logs: list[SpanLog] | None = None
     #: Per-CTA ``(slot, n_reads)`` runs attributing each read-log entry,
     #: in order, to the thread slot that issued it (``record_read_logs``).
     cta_read_slots: list[list[tuple[int, int]]] | None = None
@@ -230,8 +231,9 @@ class GPUSimulator:
             param_bytes: packed kernel-parameter block.
             memory: heap to run against (defaults to the simulator's own).
             record_read_logs: log every global load as ``(address, size)``
-                per CTA, each attributed to its issuing slot (golden runs;
-                powers thread-sliced injection).
+                per CTA, in :class:`~repro.gpu.memory.SpanLog` columns, each
+                attributed to its issuing slot (golden runs; powers
+                thread-sliced injection).
             record_thread_write_logs: attribute global writes to the
                 issuing thread (requires ``record_write_logs``).
             only_cta: execute just this CTA (the injection fast path).
@@ -329,8 +331,8 @@ class GPUSimulator:
         write_logs: list[list[tuple[int, bytes]]] | None = (
             [[] for _ in range(geometry.n_ctas)] if record_write_logs else None
         )
-        read_logs: list[list[tuple[int, int]]] | None = (
-            [[] for _ in range(geometry.n_ctas)] if record_read_logs else None
+        read_logs: list[SpanLog] | None = (
+            [SpanLog.concat([])] * geometry.n_ctas if record_read_logs else None
         )
         read_slots: list[list[tuple[int, int]]] | None = (
             [[] for _ in range(geometry.n_ctas)] if record_read_logs else None
@@ -481,7 +483,7 @@ class GPUSimulator:
                 if write_logs is not None:
                     heap.write_log = write_logs[cta]
                 if read_logs is not None:
-                    heap.read_log = read_logs[cta]
+                    heap.read_log = cta_reads = []
                 segment_logs = (
                     [thread_write_logs[cta * tpc + slot] for slot in slots]
                     if thread_write_logs is not None
@@ -505,6 +507,8 @@ class GPUSimulator:
                     # actually executed, not the skipped golden prefix.
                     instructions -= skipped
                     total_skipped += skipped
+                if read_logs is not None:
+                    read_logs[cta] = SpanLog.from_spans(cta_reads)
                 if read_slots is not None and only_slot is not None:
                     # run_cta attributes by position in ``threads``.
                     read_slots[cta] = [(only_slot, n) for _, n in read_slots[cta]]

@@ -57,7 +57,7 @@ from .isa import (
     Reg,
     Special,
 )
-from .memory import SharedMemory, decode_value, encode_value
+from .memory import SharedMemory, SpanLog, decode_value, encode_value
 from .thread import ThreadContext, ThreadState
 
 __all__ = ["VectorFallback", "CompactTrace", "VectorProgram", "launch_vectorized"]
@@ -1027,6 +1027,8 @@ class _VectorCTARunner:
     def __init__(self, vprog, nlanes: int, specials_list) -> None:
         self.vprog = vprog
         self.nlanes = nlanes
+        #: Lane keys narrow enough for numpy's radix stable sort.
+        self.lane_key = np.int16 if nlanes <= np.iinfo(np.int16).max else np.int32
         ncols = vprog.ncols
         self.ibits = np.zeros((ncols, nlanes), np.uint64)
         self.neg = np.zeros((ncols, nlanes), bool)
@@ -1047,6 +1049,7 @@ class _VectorCTARunner:
         self.parked: dict[int, BaseException] = {}
         self.segment_records: list = []
         self.flushed: list[tuple[int, bytes]] = []
+        self.read_parts: list | None = None
         self.trace_chunks: list = []
         self.scalar_slot = -1
         self.scalar_ctx = None
@@ -1489,11 +1492,15 @@ class _VectorCTARunner:
     def prepare(
         self, heap, shared, param_mem, max_steps, tracing,
         write_target, read_target, thread_targets, read_slot_target=None,
+        read_columns=False,
     ):
         """Rebind one launch's memories/logs and zero all lane state.
 
-        ``read_slot_target`` receives the ``(slot, n_reads)`` runs that
-        attribute ``read_target``'s entries to their issuing slots.
+        Reads extend the ``read_target`` list as ``(address, size)``
+        tuples, or with ``read_columns`` collect as columns for
+        :meth:`read_log`.  ``read_slot_target`` receives the
+        ``(slot, n_reads)`` runs that attribute the reads, in order, to
+        their issuing slots.
         """
         self.heap = heap
         self.shared = shared
@@ -1504,7 +1511,8 @@ class _VectorCTARunner:
         self.read_target = read_target
         self.thread_targets = thread_targets
         self.read_slot_target = read_slot_target
-        self.record_reads = read_target is not None
+        self.read_parts = [] if read_columns else None
+        self.record_reads = read_columns or read_target is not None
         self.heap_view = heap.array_view()
         self.heap_bounds = heap.allocation_arrays()
         self.heap_board = _board_for(heap, len(heap._data)) if self.paint else None
@@ -1692,8 +1700,9 @@ class _VectorCTARunner:
         """Replay the segment's scatter records into the logs, slot-major.
 
         The lockstep schedule executes instructions across lanes; classic
-        logs are per-thread segments in slot order.  Bucketing by lane and
-        flushing slots in order reconstructs byte-identical logs.  On an
+        logs are per-thread segments in slot order.  Bucketing writes by
+        lane and flushing slots in order, and sorting reads by lane
+        (:meth:`_flush_reads`), reconstructs byte-identical logs.  On an
         abort, ``limit`` is the lowest parked slot: classically no slot
         above it started this segment, so their records are dropped (their
         heap bytes are repaired from the CTA entry image).
@@ -1703,10 +1712,12 @@ class _VectorCTARunner:
         if not records:
             return
         n = self.nlanes
+        stop = n if limit is None else limit + 1
         wbuckets: list[list | None] = [None] * n
-        rbuckets: list[list | None] | None = (
-            [None] * n if self.record_reads else None
-        )
+        rlanes: list = []
+        raddrs: list = []
+        rsizes: list[int] = []
+        rcounts: list[int] = []
         for rec in records:
             tag = rec[0]
             if tag == "W":
@@ -1725,24 +1736,19 @@ class _VectorCTARunner:
                 b.append((address, raw))
             elif tag == "R":
                 _, lidx, addrs, size = rec
-                al = addrs.tolist()
-                for lane, address in zip(lidx.tolist(), al):
-                    b = rbuckets[lane]
-                    if b is None:
-                        b = rbuckets[lane] = []
-                    b.append((address, size))
+                rlanes.append(lidx)
+                raddrs.append(addrs)
+                rsizes.append(size)
+                rcounts.append(lidx.size)
             else:  # "r"
                 _, lane, address, size = rec
-                b = rbuckets[lane]
-                if b is None:
-                    b = rbuckets[lane] = []
-                b.append((address, size))
+                rlanes.append((lane,))
+                raddrs.append((address,))
+                rsizes.append(size)
+                rcounts.append(1)
         wt = self.write_target
-        rt = self.read_target
-        st = self.read_slot_target
         tt = self.thread_targets
         flushed = self.flushed
-        stop = n if limit is None else limit + 1
         for slot in range(stop):
             wb = wbuckets[slot]
             if wb:
@@ -1751,12 +1757,33 @@ class _VectorCTARunner:
                     wt.extend(wb)
                 if tt is not None:
                     tt[slot].extend(wb)
-            if rbuckets is not None:
-                rb = rbuckets[slot]
-                if rb and rt is not None:
-                    rt.extend(rb)
-                    if st is not None:
-                        st.append((slot, len(rb)))
+        if rlanes:
+            self._flush_reads(rlanes, raddrs, rsizes, rcounts, stop)
+
+    def _flush_reads(self, rlanes, raddrs, rsizes, rcounts, stop):
+        """The segment's reads, slot-major, in columns (slots below ``stop``).
+
+        One stable sort by lane groups each slot's reads while keeping
+        their step order — the order the interpreter logs them in.
+        """
+        lanes = np.concatenate(rlanes).astype(self.lane_key)
+        order = np.argsort(lanes, kind="stable")
+        counts = np.bincount(lanes, minlength=self.nlanes)[:stop]
+        order = order[: int(counts.sum())]
+        addrs = np.concatenate(raddrs).astype(np.int64, copy=False)[order]
+        sizes = np.repeat(np.array(rsizes, np.uint8), rcounts)[order]
+        if self.read_parts is not None:
+            self.read_parts.append((addrs, sizes))
+        else:
+            self.read_target.extend(zip(addrs.tolist(), sizes.tolist()))
+        st = self.read_slot_target
+        if st is not None:
+            slots = np.flatnonzero(counts)
+            st.extend(zip(slots.tolist(), counts[slots].tolist()))
+
+    def read_log(self):
+        """The launch's columnar read log (``prepare(read_columns=True)``)."""
+        return SpanLog.concat(self.read_parts)
 
     def _abort(self):
         """Classic-exact abort: repair the heap, raise the lowest slot's exc.
@@ -1823,17 +1850,13 @@ class _VectorCTARunner:
         pc_dtype = self.vprog.pc_dtype
         chunks = self.trace_chunks
         if chunks:
-            lanes = np.concatenate([c[0] for c in chunks])
-            pcs = np.concatenate(
-                [np.full(c[0].size, c[1], pc_dtype) for c in chunks]
-            )
-            widths = np.concatenate(
-                [np.full(c[0].size, c[2], np.int16) for c in chunks]
-            )
+            lanes = np.concatenate([c[0] for c in chunks]).astype(self.lane_key)
+            sizes = [c[0].size for c in chunks]
             order = np.argsort(lanes, kind="stable")
-            lanes = lanes[order]
-            pcs = pcs[order]
-            widths = widths[order]
+            pcs = np.repeat(np.array([c[1] for c in chunks], pc_dtype), sizes)[order]
+            widths = np.repeat(np.array([c[2] for c in chunks], np.int16), sizes)[
+                order
+            ]
             bounds = np.cumsum(np.bincount(lanes, minlength=n))
         else:
             pcs = np.empty(0, pc_dtype)
@@ -2166,7 +2189,7 @@ def launch_vectorized(
         [[] for _ in range(geometry.n_ctas)] if record_write_logs else None
     )
     read_logs = (
-        [[] for _ in range(geometry.n_ctas)] if record_read_logs else None
+        [SpanLog.concat([])] * geometry.n_ctas if record_read_logs else None
     )
     read_slots = (
         [[] for _ in range(geometry.n_ctas)] if record_read_logs else None
@@ -2222,9 +2245,6 @@ def launch_vectorized(
             write_target = (
                 write_logs[cta] if write_logs is not None else caller_write_log
             )
-            read_target = (
-                read_logs[cta] if read_logs is not None else caller_read_log
-            )
             thread_targets = (
                 [thread_write_logs[cta * tpc + slot] for slot in range(tpc)]
                 if thread_write_logs is not None
@@ -2232,8 +2252,9 @@ def launch_vectorized(
             )
             runner.prepare(
                 heap, shared, param_mem, max_steps, record_traces,
-                write_target, read_target, thread_targets,
+                write_target, caller_read_log, thread_targets,
                 read_slots[cta] if read_slots is not None else None,
+                read_columns=read_logs is not None,
             )
             sc_ctx = None
             if (
@@ -2311,6 +2332,8 @@ def launch_vectorized(
                     executed += sc_ctx.dyn_count - int(runner.dyn[runner.scalar_slot])
                 instructions += executed - skipped
                 total_skipped += skipped
+            if read_logs is not None:
+                read_logs[cta] = runner.read_log()
             if record_traces:
                 for slot, trace in enumerate(runner.traces_by_slot()):
                     trace_map[cta * tpc + slot] = trace
